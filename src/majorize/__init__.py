@@ -17,7 +17,6 @@ from .core import (
     MajorizeError,
     NegativeComponent,
     NonPositiveAmount,
-    PrefixSums,
     SortDesc,
     SortStepNotEii,
     Step,

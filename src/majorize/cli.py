@@ -28,12 +28,15 @@ from typing import Optional, Sequence
 
 from .core import (
     DEFAULT_EPS,
+    OUTCOME,
     Array,
     DominanceOutcome,
     MajorizeError,
     Tolerance,
+    dominates_or_equal,
     generalized_compare,
     make_array,
+    plain_number,
 )
 from .decompose import (
     Certificate,
@@ -73,17 +76,12 @@ def fmt_number(v: float) -> str:
     return str(int(v)) if float(v).is_integer() else f"{float(v):.12g}"
 
 
-def fmt_number_exact(v: float) -> str:
-    """Lossless form for files and regeneratable output."""
-    return str(int(v)) if float(v).is_integer() else repr(float(v))
-
-
 def _fmt_chain_array(arr: Array) -> str:
     return "(" + ",".join(fmt_number(v) for v in arr) + ")"
 
 
 def _fmt_literal(arr: Array) -> str:
-    return ",".join(fmt_number_exact(v) for v in arr)
+    return ",".join(str(plain_number(v)) for v in arr)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +154,7 @@ def serialize_timeline_csv(table: TimelineTable) -> str:
     if table.period_labels is not None:
         writer.writerow(["id", *table.period_labels])
     for eid, arr in table.entities:
-        writer.writerow([eid, *(fmt_number_exact(v) for v in arr)])
+        writer.writerow([eid, *(plain_number(v) for v in arr)])
     return buf.getvalue()
 
 
@@ -194,13 +192,18 @@ def _resolve_operand(token: str, table: Optional[TimelineTable]) -> Array:
         raise
 
 
+def _read_file(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _CliError(2, f"cannot read {path}: {exc}")
+
+
 def _load_table(args) -> Optional[TimelineTable]:
     if getattr(args, "input", None) is None:
         return None
-    try:
-        text = open(args.input, encoding="utf-8").read()
-    except OSError as exc:
-        raise _CliError(2, f"cannot read {args.input}: {exc}")
+    text = _read_file(args.input)
     try:
         return parse_timeline_csv(text)
     except MajorizeError as exc:
@@ -252,15 +255,14 @@ def _cmd_check(args) -> int:
     tol = _tolerance(args)
     left, right = _operands(args, _load_table(args))
     if args.mode == "classical":
-        verdict = classical_majorizes(left, right, tol)
-        below = verdict
-        text = "true" if verdict else "false"
+        below = classical_majorizes(left, right, tol)
+        text = "true" if below else "false"
     else:
         outcome = generalized_compare(left, right, tol)
-        below = outcome in (DominanceOutcome.EQUAL, DominanceOutcome.LEFT_STRICTLY_BELOW)
+        below = dominates_or_equal(outcome)
         text = outcome.value
     if args.json:
-        print(json.dumps({"mode": args.mode, "verdict": text if args.mode != "classical" else verdict}))
+        print(json.dumps({"mode": args.mode, "verdict": text}))
     else:
         print(text)
     return 0 if below else 1
@@ -290,10 +292,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_verify(args) -> int:
     tol = _tolerance(args)
-    try:
-        text = open(args.cert, encoding="utf-8").read()
-    except OSError as exc:
-        raise _CliError(2, f"cannot read {args.cert}: {exc}")
+    text = _read_file(args.cert)
     try:
         cert = Certificate.from_json(text)
     except MalformedCertificate as exc:
@@ -309,7 +308,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_lorenz(args) -> int:
-    _tolerance(args)  # validate --eps/MAJORIZE_EPS even though the curve is tolerance-free
     try:
         arr = _resolve_operand(args.array, None)
     except MajorizeError as exc:
@@ -320,7 +318,7 @@ def _cmd_lorenz(args) -> int:
     except ZeroTotal as exc:
         raise _CliError(1, str(exc))
     if args.format == "json":
-        payload = json.dumps({"points": [[a, o] for a, o in curve], "gini": g}) + "\n"
+        payload = json.dumps({**curve.to_dict(), "gini": g}) + "\n"
     else:
         payload = curve.to_csv()
     if args.out:
@@ -343,19 +341,10 @@ def _cmd_batch(args) -> int:
         row = []
         for y in arrays:
             if args.mode == "classical":
-                below = classical_majorizes(x, y, tol)
-                above = classical_majorizes(y, x, tol)
-                if below and above:
-                    sym = "="
-                elif below:
-                    sym = "≺"
-                elif above:
-                    sym = "≻"
-                else:
-                    sym = "∥"
+                outcome = OUTCOME[classical_majorizes(x, y, tol), classical_majorizes(y, x, tol)]
             else:
-                sym = _OUTCOME_SYMBOL[generalized_compare(x, y, tol)]
-            row.append(sym)
+                outcome = generalized_compare(x, y, tol)
+            row.append(_OUTCOME_SYMBOL[outcome])
         matrix.append(row)
     print("\t".join(["id", *ids]))
     for eid, row in zip(ids, matrix):
@@ -430,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("array")
     p.add_argument("--out", help="write curve points to this file")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    add_eps(p)
     p.set_defaults(func=_cmd_lorenz)
 
     p = sub.add_parser("batch", help="pairwise dominance matrix for a timeline CSV")

@@ -135,7 +135,7 @@ class Array:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+        vals = tuple(map(float, self.values))
         if not vals:
             raise EmptyArray("an array needs at least one component")
         for idx, v in enumerate(vals, start=1):
@@ -157,6 +157,7 @@ class Array:
         return sum(self.values)
 
     def is_non_increasing(self) -> bool:
+        """Exact check, without tolerance, shared by the decreasing-mode producer and verifier."""
         v = self.values
         return all(v[k] >= v[k + 1] for k in range(len(v) - 1))
 
@@ -166,25 +167,18 @@ def make_array(values: Iterable[float]) -> Array:
     return Array(tuple(values))
 
 
-@dataclass(frozen=True)
-class PrefixSums:
-    """Running sums of an array; ``sums[k-1]`` is the sum of the first k components."""
-
-    sums: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.sums)
-
-    def __getitem__(self, k):
-        return self.sums[k]
-
-    @property
-    def total(self) -> float:
-        return self.sums[-1]
+def prefix_sums(x: Array) -> tuple[float, ...]:
+    """Running sums; entry ``k-1`` is the sum of the first k components."""
+    return tuple(accumulate(x.values))
 
 
-def prefix_sums(x: Array) -> PrefixSums:
-    return PrefixSums(tuple(accumulate(x.values)))
+def plain_number(v: float) -> Union[int, float]:
+    """Lossless plain form: integral values as ``int``, so they print without a point.
+
+    ``str()`` of the result is the exact literal, and ``json`` writes the same
+    digits, so integer certificates and tables round-trip byte-identically.
+    """
+    return int(v) if float(v).is_integer() else float(v)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +253,15 @@ class DominanceOutcome(Enum):
     INCOMPARABLE = "Incomparable"
 
 
+# (left is below right, right is below left) -> outcome
+OUTCOME = {
+    (True, True): DominanceOutcome.EQUAL,
+    (True, False): DominanceOutcome.LEFT_STRICTLY_BELOW,
+    (False, True): DominanceOutcome.RIGHT_STRICTLY_BELOW,
+    (False, False): DominanceOutcome.INCOMPARABLE,
+}
+
+
 def _require_same_length(x: Array, y: Array) -> None:
     if len(x) != len(y):
         raise LengthMismatch(len(x), len(y))
@@ -285,11 +288,7 @@ def generalized_compare(x: Array, y: Array, tol: ToleranceLike = None) -> Domina
             right = False
         if not (left or right):
             return DominanceOutcome.INCOMPARABLE
-    if left and right:
-        return DominanceOutcome.EQUAL
-    if left:
-        return DominanceOutcome.LEFT_STRICTLY_BELOW
-    return DominanceOutcome.RIGHT_STRICTLY_BELOW
+    return OUTCOME[left, right]
 
 
 def dominates_or_equal(outcome: DominanceOutcome) -> bool:
@@ -330,18 +329,26 @@ def apply_eii(x: Array, step: Step, tol: ToleranceLike = None) -> Array:
         src = x.values[step.j - 1]
         if step.a > src + as_tolerance(tol).eps:
             raise TransferExceedsSource(step.j, src, step.a)
-        vals = list(x.values)
-        vals[step.i - 1] += step.a
-        rest = src - step.a
-        vals[step.j - 1] = rest if rest > 0.0 else 0.0
-        return Array(tuple(vals))
-    if isinstance(step, Increase):
+    elif isinstance(step, Increase):
         if step.i > n:
             raise IndexOutOfBounds(f"increase touches position {step.i} of a length-{n} array")
-        vals = list(x.values)
-        vals[step.i - 1] += step.a
-        return Array(tuple(vals))
-    raise TypeError(f"not a step: {step!r}")
+    else:
+        raise TypeError(f"not a step: {step!r}")
+    vals = list(x.values)
+    _apply_inplace(vals, step)
+    return Array(tuple(vals))
+
+
+def _apply_inplace(vals: list[float], step: Union[Transfer, Increase]) -> None:
+    """Apply an already validated transfer or increase to ``vals``.
+
+    A transfer's source is clamped at zero, so a shortfall within tolerance
+    never leaves a negative component.
+    """
+    vals[step.i - 1] += step.a
+    if isinstance(step, Transfer):
+        rest = vals[step.j - 1] - step.a
+        vals[step.j - 1] = rest if rest > 0.0 else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -39,9 +39,12 @@ from .core import (
     Transfer,
     apply_eii,
     as_tolerance,
+    dominates_or_equal,
     generalized_compare,
     make_array,
+    plain_number,
     sort_desc,
+    _apply_inplace,
     _require_same_length,
 )
 
@@ -129,10 +132,10 @@ class Certificate:
     def to_dict(self) -> dict:
         return {
             "mode": self.mode.value,
-            "source": [_plain_number(v) for v in self.source],
-            "target": [_plain_number(v) for v in self.target],
+            "source": [plain_number(v) for v in self.source],
+            "target": [plain_number(v) for v in self.target],
             "steps": [_step_to_dict(s) for s in self.steps],
-            "intermediates": [[_plain_number(v) for v in z] for z in self.intermediates],
+            "intermediates": [[plain_number(v) for v in z] for z in self.intermediates],
         }
 
     def to_json(self, indent: int | None = None) -> str:
@@ -142,38 +145,48 @@ class Certificate:
     def from_dict(cls, data: dict) -> "Certificate":
         try:
             mode = CertificateMode(data["mode"])
-            source = make_array(data["source"])
-            target = make_array(data["target"])
-            steps = tuple(_step_from_dict(s) for s in data["steps"])
-            intermediates = tuple(make_array(z) for z in data["intermediates"])
+            source = make_array(_numbers(data["source"], "source"))
+            target = make_array(_numbers(data["target"], "target"))
+            steps = tuple(_step_from_dict(s) for s in _array(data["steps"], "steps"))
+            intermediates = tuple(make_array(_numbers(z, "intermediate"))
+                                  for z in _array(data["intermediates"], "intermediates"))
             return cls(source, target, steps, intermediates, mode)
         except MalformedCertificate:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedCertificate(f"bad certificate data: {exc}") from exc
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise MalformedCertificate(f"not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise MalformedCertificate("certificate JSON must be an object")
         return cls.from_dict(data)
 
 
-def _plain_number(v: float):
-    # integral values serialize without a decimal point, so integer
-    # certificates round-trip byte-identically
-    return int(v) if float(v).is_integer() else float(v)
+_JSON_NUMBER_TYPES = {int, float}  # as json.loads builds them; bool is excluded
+
+
+def _array(value, what: str) -> list:
+    if type(value) is not list:
+        raise MalformedCertificate(f"{what} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
+def _numbers(value, what: str) -> list:
+    if not _JSON_NUMBER_TYPES.issuperset(map(type, _array(value, what))):
+        raise MalformedCertificate(f"{what} must hold only numbers")
+    return value
 
 
 def _step_to_dict(step: Step) -> dict:
     if isinstance(step, Transfer):
-        return {"type": "transfer", "i": step.i, "j": step.j, "a": _plain_number(step.a)}
+        return {"type": "transfer", "i": step.i, "j": step.j, "a": plain_number(step.a)}
     if isinstance(step, Increase):
-        return {"type": "increase", "i": step.i, "a": _plain_number(step.a)}
+        return {"type": "increase", "i": step.i, "a": plain_number(step.a)}
     if isinstance(step, SortDesc):
         return {"type": "sort_desc"}
     raise TypeError(f"not a step: {step!r}")
@@ -185,9 +198,9 @@ def _step_from_dict(data: dict) -> Step:
     kind = data.get("type")
     try:
         if kind == "transfer":
-            return Transfer(data["i"], data["j"], data["a"])
+            return Transfer(*_numbers([data["i"], data["j"], data["a"]], "transfer fields"))
         if kind == "increase":
-            return Increase(data["i"], data["a"])
+            return Increase(*_numbers([data["i"], data["a"]], "increase fields"))
         if kind == "sort_desc":
             return SortDesc()
     except (KeyError, TypeError, MajorizeError) as exc:
@@ -277,10 +290,7 @@ def verify_certificate(cert: Certificate, tol: ToleranceLike = None) -> Verifica
     computed = cert.source
     for t, (step, recorded) in enumerate(zip(cert.steps, cert.intermediates)):
         try:
-            if isinstance(step, SortDesc):
-                computed = sort_desc(computed)
-            else:
-                computed = apply_eii(computed, step, tolerance)
+            computed = _replay_step(computed, step, tolerance)
         except MajorizeError as exc:
             return failed(t, t, FailureReason.REPLAY_MISMATCH,
                           f"step {t} is not applicable: {exc}")
@@ -290,14 +300,11 @@ def verify_certificate(cert: Certificate, tol: ToleranceLike = None) -> Verifica
         if generalized_compare(prev, recorded, tolerance) is not DominanceOutcome.LEFT_STRICTLY_BELOW:
             return failed(t, t, FailureReason.CHAIN_NOT_STRICT,
                           f"intermediate {t} does not strictly dominate its predecessor")
-        sandwich = generalized_compare(recorded, cert.target, tolerance)
-        if sandwich not in (DominanceOutcome.EQUAL, DominanceOutcome.LEFT_STRICTLY_BELOW):
+        if not dominates_or_equal(generalized_compare(recorded, cert.target, tolerance)):
             return failed(t, t, FailureReason.NOT_SANDWICHED_BY_TARGET,
                           f"intermediate {t} is not dominated by the target")
         if cert.mode is CertificateMode.DECREASING and not isinstance(step, SortDesc):
-            ranked = sort_desc(recorded)
-            out = generalized_compare(ranked, cert.target, tolerance)
-            if out not in (DominanceOutcome.EQUAL, DominanceOutcome.LEFT_STRICTLY_BELOW):
+            if not dominates_or_equal(generalized_compare(sort_desc(recorded), cert.target, tolerance)):
                 return failed(t, t, FailureReason.SORTED_INTERMEDIATE_NOT_BELOW_TARGET,
                               f"descending rearrangement of intermediate {t} is not below the target")
         if cert.mode is CertificateMode.TRANSFERS:
@@ -325,11 +332,15 @@ def replay(source: Array, steps: Sequence[Step], tol: ToleranceLike = None) -> A
     cur = source
     for t, step in enumerate(steps):
         try:
-            cur = sort_desc(cur) if isinstance(step, SortDesc) else apply_eii(cur, step, tol)
+            cur = _replay_step(cur, step, tol)
         except MajorizeError as exc:
             exc.step_index = t
             raise
     return cur
+
+
+def _replay_step(x: Array, step: Step, tol: ToleranceLike) -> Array:
+    return sort_desc(x) if isinstance(step, SortDesc) else apply_eii(x, step, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -381,21 +392,6 @@ def _next_step(cur: list[float], target: tuple[float, ...], eps: float):
     return None
 
 
-def _apply_inplace(vals: list[float], step: Step) -> None:
-    # mirrors apply_eii exactly so replay reproduces the same floats
-    if isinstance(step, Transfer):
-        vals[step.i - 1] += step.a
-        rest = vals[step.j - 1] - step.a
-        vals[step.j - 1] = rest if rest > 0.0 else 0.0
-    else:
-        vals[step.i - 1] += step.a
-
-
-def _step_cap(n: int) -> int:
-    # generous tripwire; the chooser settles at least one position per step
-    return 8 * n * n + 64
-
-
 def decompose_general(x: Array, y: Array, tol: ToleranceLike = None) -> Certificate:
     """Produce a chain of impact steps from ``x`` to ``y`` (general mode).
 
@@ -409,28 +405,7 @@ def decompose_general(x: Array, y: Array, tol: ToleranceLike = None) -> Certific
         NotDominated: some prefix sum of ``x`` exceeds that of ``y``,
             reported with the offending prefix length.
     """
-    tolerance = as_tolerance(tol)
-    _require_same_length(x, y)
-    _require_dominated(x, y, tolerance.eps)
-    steps, inters = _general_chain(x, y, tolerance.eps)
-    return Certificate(x, y, tuple(steps), tuple(inters), CertificateMode.GENERAL)
-
-
-def _general_chain(x: Array, y: Array, eps: float):
-    cur = list(x.values)
-    yv = y.values
-    steps: list[Step] = []
-    inters: list[Array] = []
-    cap = _step_cap(len(cur))
-    while True:
-        step = _next_step(cur, yv, eps)
-        if step is None:
-            return steps, inters
-        _apply_inplace(cur, step)
-        steps.append(step)
-        inters.append(Array(tuple(cur)))
-        if len(steps) > cap:  # only reachable for adversarial sub-eps inputs
-            raise RuntimeError("decomposition did not converge; inputs are at tolerance scale")
+    return _decompose(x, y, tol, CertificateMode.GENERAL)
 
 
 def decompose_decreasing(x: Array, y: Array, tol: ToleranceLike = None) -> Certificate:
@@ -451,28 +426,57 @@ def decompose_decreasing(x: Array, y: Array, tol: ToleranceLike = None) -> Certi
 
     Raises:
         LengthMismatch, NotDominated: as in ``decompose_general``.
-        TargetNotDecreasing: ``y`` is not non-increasing.
+        TargetNotDecreasing: ``y`` is not non-increasing.  The check is exact,
+            as in ``verify_certificate``: no tolerance applies to the order.
     """
-    tolerance = as_tolerance(tol)
-    eps = tolerance.eps
+    return _decompose(x, y, tol, CertificateMode.DECREASING)
+
+
+def decompose_transfers(x: Array, y: Array, tol: ToleranceLike = None) -> Certificate:
+    """Chain of transfers only, for equal-total inputs.
+
+    With equal totals a plain increase can never occur (it would push the
+    running total past the target's), so the general chain consists of
+    transfers; this is checked as the chain is built.
+
+    Raises:
+        LengthMismatch, NotDominated: as in ``decompose_general``.
+        SumsNotEqual: the totals differ beyond tolerance.
+        MajorizeError: a shortfall beyond ``eps`` is matched only by a surplus
+            within the ``n * eps`` transfer threshold, so the chain would need
+            an increase.
+    """
+    return _decompose(x, y, tol, CertificateMode.TRANSFERS)
+
+
+def _decompose(x: Array, y: Array, tol: ToleranceLike, mode: CertificateMode) -> Certificate:
+    """The one decomposition loop; ``mode`` adds its precondition and its re-sort or check."""
+    eps = as_tolerance(tol).eps
     _require_same_length(x, y)
-    yv = y.values
-    if any(yv[k + 1] - yv[k] > eps for k in range(len(yv) - 1)):
+    if mode is CertificateMode.DECREASING and not y.is_non_increasing():
         raise TargetNotDecreasing("target must be non-increasing for decreasing mode")
+    if mode is CertificateMode.TRANSFERS and abs(x.total - y.total) > eps:
+        raise SumsNotEqual(x.total, y.total)
     _require_dominated(x, y, eps)
 
     cur = list(x.values)
+    yv = y.values
     steps: list[Step] = []
     inters: list[Array] = []
-    cap = _step_cap(len(cur))
+    cap = 8 * len(cur) ** 2 + 64  # generous tripwire; the chooser settles a position per step
     while True:
         step = _next_step(cur, yv, eps)
         if step is None:
-            break
+            return Certificate(x, y, tuple(steps), tuple(inters), mode)
+        if mode is CertificateMode.TRANSFERS and not isinstance(step, Transfer):
+            raise MajorizeError(
+                f"transfers mode would need an increase of {step.a!r} at position {step.i}: "
+                f"the surplus that should cover it is within the n*eps transfer threshold"
+            )
         _apply_inplace(cur, step)
         steps.append(step)
         inters.append(Array(tuple(cur)))
-        if any(cur[k] < cur[k + 1] for k in range(len(cur) - 1)):
+        if mode is CertificateMode.DECREASING and not inters[-1].is_non_increasing():
             ranked = sorted(cur, reverse=True)
             witness = _dominance_witness(ranked, yv, eps)
             if witness is not None:
@@ -485,30 +489,8 @@ def decompose_decreasing(x: Array, y: Array, tol: ToleranceLike = None) -> Certi
             cur = ranked
             steps.append(SortDesc())
             inters.append(Array(tuple(cur)))
-        if len(steps) > cap:
+        if len(steps) > cap:  # only reachable for adversarial sub-eps inputs
             raise RuntimeError("decomposition did not converge; inputs are at tolerance scale")
-    return Certificate(x, y, tuple(steps), tuple(inters), CertificateMode.DECREASING)
-
-
-def decompose_transfers(x: Array, y: Array, tol: ToleranceLike = None) -> Certificate:
-    """Chain of transfers only, for equal-total inputs.
-
-    With equal totals a plain increase can never occur (it would push the
-    running total past the target's), so the general chain consists of
-    transfers; this is asserted after the fact.
-
-    Raises:
-        LengthMismatch, NotDominated: as in ``decompose_general``.
-        SumsNotEqual: the totals differ beyond tolerance.
-    """
-    tolerance = as_tolerance(tol)
-    _require_same_length(x, y)
-    if abs(x.total - y.total) > tolerance.eps:
-        raise SumsNotEqual(x.total, y.total)
-    _require_dominated(x, y, tolerance.eps)
-    steps, inters = _general_chain(x, y, tolerance.eps)
-    assert all(isinstance(s, Transfer) for s in steps), "equal totals admit transfers only"
-    return Certificate(x, y, tuple(steps), tuple(inters), CertificateMode.TRANSFERS)
 
 
 # ---------------------------------------------------------------------------

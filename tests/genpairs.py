@@ -7,6 +7,13 @@ import random
 from majorize import Array, make_array
 
 
+def sized(i: int) -> tuple[int, int]:
+    """Deterministic spread of lengths 1..12 and move counts for seeded suites."""
+    n = (i % 12) + 1
+    k = (i * 7) % (2 * n + 1)
+    return n, k
+
+
 def classical_pair(seed: int, n: int, k: int) -> tuple[Array, Array]:
     """Equal-total integer pair with X classically majorized by Y.
 

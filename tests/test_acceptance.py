@@ -32,7 +32,7 @@ from majorize import (
     sort_desc,
     verify_certificate,
 )
-from genpairs import classical_pair, decreasing_pair, random_eii_case
+from genpairs import classical_pair, decreasing_pair, random_eii_case, sized
 
 LSB = DominanceOutcome.LEFT_STRICTLY_BELOW
 PAIR_COUNT = 10_000
@@ -44,13 +44,6 @@ def report(num: int, name: str, ok: bool, detail: str = ""):
         line += f" ({detail})"
     print(line)
     assert ok, line
-
-
-def sized(i: int) -> tuple[int, int]:
-    # deterministic spread of lengths 1..12 and move counts
-    n = (i % 12) + 1
-    k = (i * 7) % (2 * n + 1)
-    return n, k
 
 
 # ---------------------------------------------------------------------------

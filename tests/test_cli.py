@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from majorize import Certificate, make_array
 from majorize.cli import (
@@ -58,6 +60,15 @@ def test_check_json_output(capsys):
     code, out, _ = run(capsys, "check", "1,3", "2,2", "--json")
     assert code == 0
     assert json.loads(out) == {"mode": "general", "verdict": "LeftStrictlyBelow"}
+
+
+def test_check_json_classical_verdict_is_the_printed_string(capsys):
+    code, out, _ = run(capsys, "check", "2,2", "3,1", "--mode", "classical", "--json")
+    assert code == 0
+    assert json.loads(out) == {"mode": "classical", "verdict": "true"}
+    code, out, _ = run(capsys, "check", "3,1", "2,2", "--mode", "classical", "--json")
+    assert code == 1
+    assert json.loads(out) == {"mode": "classical", "verdict": "false"}
 
 
 def test_check_length_mismatch_exits_two(capsys):
@@ -160,6 +171,34 @@ def test_decompose_unequal_sums_exits_one(capsys):
     assert "totals differ" in err
 
 
+def test_decompose_transfers_surplus_below_threshold_exits_two(tmp_path, capsys):
+    # the totals agree within eps, but the 1.5e-9 surplus at position 2 is
+    # below the n*eps transfer threshold, so only an increase could close the gap
+    out_file = tmp_path / "cert.json"
+    code, _, err = run(capsys, "decompose", "0.9999999985,1.0000000015", "1,1",
+                       "--mode", "transfers", "--out", str(out_file))
+    assert code == 2
+    assert "increase" in err
+    assert not out_file.exists()
+
+
+def test_decreasing_target_order_is_exact_for_producer_and_verifier(tmp_path, capsys):
+    cert_file = tmp_path / "cert.json"
+    code, _, err = run(capsys, "decompose", "1,1", "2,2.000000000001",
+                       "--mode", "decreasing", "--out", str(cert_file))
+    assert code == 1
+    assert "non-increasing" in err
+    assert not cert_file.exists()
+    code, _, _ = run(capsys, "decompose", "1,1", "2,2.000000000001", "--out", str(cert_file))
+    assert code == 0
+    data = json.loads(cert_file.read_text())
+    data["mode"] = "decreasing"
+    cert_file.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "verify", "--cert", str(cert_file))
+    assert code == 1
+    assert "not non-increasing" in out
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -196,6 +235,70 @@ def test_verify_malformed_file_exits_two(tmp_path, capsys):
     assert code == 2
     code, _, err = run(capsys, "verify", "--cert", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+HUGE = "1" + "0" * 400  # an integer no float can hold
+
+
+@pytest.mark.parametrize("text", [
+    '{"mode": "general", "source": "12", "target": [1, 2], "steps": [], "intermediates": []}',
+    '{"mode": "general", "source": {"3": 0}, "target": {"3": 1}, "steps": [], "intermediates": []}',
+    '{"mode": "general", "source": [1, 1], "target": [1, 1], "steps": {}, "intermediates": {}}',
+    '{"mode": "general", "source": [true, 1], "target": [1, 1], "steps": [], "intermediates": []}',
+    '{"mode": "general", "source": [1, 1], "target": [2, 1],'
+    ' "steps": [{"type": "increase", "i": true, "a": 1}], "intermediates": [[2, 1]]}',
+    '{"mode": "general", "source": [1, 1], "target": [2, 1],'
+    ' "steps": [{"type": "increase", "i": 1, "a": true}], "intermediates": [[2, 1]]}',
+    '{"mode": "general", "source": [1, 1], "target": [2, 1],'
+    ' "steps": [{"type": "increase", "i": 1, "a": 1}], "intermediates": [[2, true]]}',
+    '{"mode": "general", "source": [%s, 1], "target": [1, 1], "steps": [], "intermediates": []}' % HUGE,
+    '{"mode": "general", "source": [1, 1], "target": [2, 1],'
+    ' "steps": [{"type": "increase", "i": 1, "a": %s}], "intermediates": [[2, 1]]}' % HUGE,
+    "[" * 100_000,
+], ids=["string-source", "object-arrays", "object-steps", "bool-component", "bool-index",
+        "bool-amount", "bool-intermediate", "huge-component", "huge-amount", "deep-nesting"])
+def test_verify_wrongly_typed_certificate_exits_two(tmp_path, capsys, text):
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(text)
+    code, out, err = run(capsys, "verify", "--cert", str(cert_file))
+    assert code == 2, out
+    assert err.startswith("error:")
+
+
+def test_verify_undecodable_file_exits_two(tmp_path, capsys):
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_bytes(b"\xff\xfe{}")
+    code, _, err = run(capsys, "verify", "--cert", str(cert_file))
+    assert code == 2
+    assert "cannot read" in err
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_FIELDS = ("mode", "source", "target", "steps", "intermediates",
+           "step.type", "step.i", "step.j", "step.a")
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "cert.json"
+
+
+@given(field=st.sampled_from(_FIELDS), value=_JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_verify_survives_any_json_value_in_any_field(fuzz_file, field, value):
+    data = {"mode": "transfers", "source": [3, 2, 1], "target": [4, 1, 1],
+            "steps": [{"type": "transfer", "i": 1, "j": 2, "a": 1}],
+            "intermediates": [[4, 1, 1]]}
+    if field.startswith("step."):
+        data["steps"][0][field[5:]] = value
+    else:
+        data[field] = value
+    fuzz_file.write_text(json.dumps(data))
+    assert main(["verify", "--cert", str(fuzz_file)]) in (0, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +383,12 @@ def test_batch_incomparable_cell(tmp_path, capsys):
 
 def test_batch_classical_mode(tmp_path, capsys):
     table = tmp_path / "t.csv"
-    table.write_text("a,2,2\nb,3,1\n")
+    table.write_text("a,2,2\nb,3,1\nc,1,1\n")
     code, out, _ = run(capsys, "batch", "--input", str(table), "--mode", "classical")
     assert code == 0
-    assert out.strip().splitlines()[1] == "a\t=\t≺"
+    lines = out.strip().splitlines()
+    assert lines[1] == "a\t=\t≺\t∥"  # c has a different total
+    assert lines[2] == "b\t≻\t=\t∥"
 
 
 @pytest.mark.parametrize("content,fragment", [

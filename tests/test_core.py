@@ -84,15 +84,15 @@ def test_tolerance_semantics():
     ((0, 0), (0, 0)),
 ])
 def test_prefix_sums_goldens(values, expected):
-    assert prefix_sums(make_array(values)).sums == tuple(float(v) for v in expected)
+    assert prefix_sums(make_array(values)) == tuple(float(v) for v in expected)
 
 
 @given(int_arrays)
 def test_prefix_sums_match_slice_oracle(x):
     ps = prefix_sums(x)
     for k in range(1, len(x) + 1):
-        assert ps.sums[k - 1] == sum(x.values[:k])
-    assert ps.total == x.total
+        assert ps[k - 1] == sum(x.values[:k])
+    assert ps[-1] == x.total
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +173,7 @@ def test_transfer_shifts_prefix_sums_exactly():
     x = make_array([1, 2, 3])
     out = apply_eii(x, Transfer(1, 3, 2), EXACT)
     assert out.values == (3.0, 2.0, 1.0)
-    assert prefix_sums(out).sums == (3.0, 5.0, 6.0)
+    assert prefix_sums(out) == (3.0, 5.0, 6.0)
     assert generalized_compare(x, out, EXACT) is LSB
 
 
@@ -188,8 +188,8 @@ def test_transfer_prefix_relation(data):
         vals[j - 1] = 1
         x = make_array(vals)
     a = data.draw(st.integers(1, vals[j - 1]))
-    before = prefix_sums(x).sums
-    after = prefix_sums(apply_eii(x, Transfer(i, j, a), EXACT)).sums
+    before = prefix_sums(x)
+    after = prefix_sums(apply_eii(x, Transfer(i, j, a), EXACT))
     for k in range(1, len(vals) + 1):
         if i <= k < j:
             assert after[k - 1] == before[k - 1] + a
