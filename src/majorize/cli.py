@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import (
@@ -60,24 +60,8 @@ _OUTCOME_SYMBOL = {
 }
 
 
-class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-        self.message = message
-
-
-# ---------------------------------------------------------------------------
-# Formatting
-# ---------------------------------------------------------------------------
-
-def fmt_number(v: float) -> str:
-    """Display form: 12 significant digits, integral values without a point."""
-    return str(int(v)) if float(v).is_integer() else f"{float(v):.12g}"
-
-
-def _fmt_chain_array(arr: Array) -> str:
-    return "(" + ",".join(fmt_number(v) for v in arr) + ")"
+# negative results exit 1; every other MajorizeError is an input error (exit 2)
+_NEGATIVE_RESULTS = (NotDominated, TargetNotDecreasing, SumsNotEqual, ZeroTotal)
 
 
 def _fmt_literal(arr: Array) -> str:
@@ -88,53 +72,44 @@ def _fmt_literal(arr: Array) -> str:
 # Timeline tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TimelineTable:
-    """Entities with equal-length value rows; column 1 is the most recent period."""
-
-    entities: tuple[tuple[str, Array], ...]
-    period_labels: Optional[tuple[str, ...]] = None
-
-    def get(self, entity_id: str) -> Optional[Array]:
-        for eid, arr in self.entities:
-            if eid == entity_id:
-                return arr
-        return None
-
-
-def parse_timeline_csv(text: str) -> TimelineTable:
-    rows = [(num, row) for num, row in enumerate(csv.reader(io.StringIO(text)), start=1)
-            if any(cell.strip() for cell in row)]
+def parse_timeline_csv(text: str) -> dict[str, Array]:
+    """Entity id -> value row, in file order; column 1 is the most recent period."""
+    rows = []
+    num = 0
+    try:
+        for num, row in enumerate(csv.reader(io.StringIO(text)), start=1):
+            if any(cell.strip() for cell in row):
+                rows.append((num, row))
+    except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
+        raise MajorizeError(f"row {num + 1}: {exc}") from exc
     if not rows:
         raise MajorizeError("empty timeline CSV")
 
-    labels: Optional[tuple[str, ...]] = None
-    first_num, first_row = rows[0]
+    n_labels: Optional[int] = None
+    first_row = rows[0][1]
     # a header is marked by the conventional "id" corner cell or by any
     # non-numeric cell after it (period labels may themselves look numeric)
     is_header = len(first_row) >= 2 and (
         first_row[0].strip().lower() == "id" or any(not _is_number(c) for c in first_row[1:])
     )
     if is_header:
-        labels = tuple(c.strip() for c in first_row[1:])
+        n_labels = len(first_row) - 1
         rows = rows[1:]
         if not rows:
             raise MajorizeError("timeline CSV has a header but no data rows")
 
-    entities: list[tuple[str, Array]] = []
-    seen: set[str] = set()
+    table: dict[str, Array] = {}
     width: Optional[int] = None
     for num, row in rows:
         if len(row) < 2:
             raise MajorizeError(f"row {num}: expected an id and at least one value")
         eid = row[0].strip()
-        if eid in seen:
+        if eid in table:
             raise MajorizeError(f"row {num}: duplicate id {eid!r}")
-        seen.add(eid)
         if width is None:
             width = len(row) - 1
-            if labels is not None and len(labels) != width:
-                raise MajorizeError(f"row {num}: {len(row) - 1} values but {len(labels)} period labels")
+            if n_labels is not None and n_labels != width:
+                raise MajorizeError(f"row {num}: {width} values but {n_labels} period labels")
         elif len(row) - 1 != width:
             raise MajorizeError(f"row {num}: {len(row) - 1} values, expected {width}")
         try:
@@ -142,20 +117,10 @@ def parse_timeline_csv(text: str) -> TimelineTable:
         except ValueError as exc:
             raise MajorizeError(f"row {num}: {exc}") from exc
         try:
-            entities.append((eid, make_array(values)))
+            table[eid] = make_array(values)
         except MajorizeError as exc:
             raise MajorizeError(f"row {num}: {exc}") from exc
-    return TimelineTable(tuple(entities), labels)
-
-
-def serialize_timeline_csv(table: TimelineTable) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if table.period_labels is not None:
-        writer.writerow(["id", *table.period_labels])
-    for eid, arr in table.entities:
-        writer.writerow([eid, *(plain_number(v) for v in arr)])
-    return buf.getvalue()
+    return table
 
 
 def _is_number(cell: str) -> bool:
@@ -179,7 +144,7 @@ def parse_array_literal(token: str) -> Array:
         raise MajorizeError(f"cannot parse array literal {token!r}: {exc}") from exc
 
 
-def _resolve_operand(token: str, table: Optional[TimelineTable]) -> Array:
+def _resolve_operand(token: str, table: Optional[dict[str, Array]]) -> Array:
     if table is not None:
         arr = table.get(token)
         if arr is not None:
@@ -197,28 +162,21 @@ def _read_file(path: str) -> str:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise _CliError(2, f"cannot read {path}: {exc}")
+        raise MajorizeError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_table(args) -> Optional[TimelineTable]:
+def _load_table(args) -> Optional[dict[str, Array]]:
     if getattr(args, "input", None) is None:
         return None
     text = _read_file(args.input)
     try:
         return parse_timeline_csv(text)
     except MajorizeError as exc:
-        raise _CliError(2, f"{args.input}: {exc}")
+        raise MajorizeError(f"{args.input}: {exc}") from exc
 
 
-def _operands(args, table: Optional[TimelineTable]) -> tuple[Array, Array]:
-    try:
-        left = _resolve_operand(args.left, table)
-        right = _resolve_operand(args.right, table)
-    except MajorizeError as exc:
-        raise _CliError(2, str(exc))
-    if len(left) != len(right):
-        raise _CliError(2, f"arrays have different lengths: {len(left)} vs {len(right)}")
-    return left, right
+def _operands(args, table: Optional[dict[str, Array]]) -> tuple[Array, Array]:
+    return _resolve_operand(args.left, table), _resolve_operand(args.right, table)
 
 
 def _tolerance(args) -> Tolerance:
@@ -232,11 +190,8 @@ def _tolerance(args) -> Tolerance:
             try:
                 eps = float(raw)
             except ValueError:
-                raise _CliError(2, f"MAJORIZE_EPS is not a number: {raw!r}")
-    try:
-        return Tolerance(eps)
-    except MajorizeError as exc:
-        raise _CliError(2, str(exc))
+                raise MajorizeError(f"MAJORIZE_EPS is not a number: {raw!r}") from None
+    return Tolerance(eps)
 
 
 def _write_file(path: str, content: str) -> None:
@@ -244,7 +199,7 @@ def _write_file(path: str, content: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(content)
     except OSError as exc:
-        raise _CliError(2, f"cannot write {path}: {exc}")
+        raise MajorizeError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +231,13 @@ def _cmd_decompose(args) -> int:
         "decreasing": decompose_decreasing,
         "transfers": decompose_transfers,
     }[args.mode]
-    try:
-        cert = produce(left, right, tol)
-    except (NotDominated, TargetNotDecreasing, SumsNotEqual) as exc:
-        raise _CliError(1, str(exc))
+    cert = produce(left, right, tol)
     if cert.steps:
-        chain = [_fmt_chain_array(cert.source)] + [_fmt_chain_array(z) for z in cert.intermediates]
-        print(" ≺ ".join(chain))
+        # consecutive states share all but one or two values (a sort only reorders
+        # them), so memoising formats about n + 2 * steps numbers, not n * steps
+        text = functools.cache(lambda v: str(plain_number(v)))
+        states = (cert.source, *cert.intermediates)
+        print(" ≺ ".join("(" + ",".join(map(text, z)) + ")" for z in states))
     else:
         print("already equal")
     if args.out:
@@ -296,7 +251,7 @@ def _cmd_verify(args) -> int:
     try:
         cert = Certificate.from_json(text)
     except MalformedCertificate as exc:
-        raise _CliError(2, f"{args.cert}: {exc}")
+        raise MajorizeError(f"{args.cert}: {exc}") from exc
     report = verify_certificate(cert, tol)
     if report.ok:
         print(f"certificate OK ({report.checked_steps} steps checked)")
@@ -308,15 +263,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_lorenz(args) -> int:
-    try:
-        arr = _resolve_operand(args.array, None)
-    except MajorizeError as exc:
-        raise _CliError(2, str(exc))
-    try:
-        curve = lorenz_points(arr)
-        g = gini(arr)
-    except ZeroTotal as exc:
-        raise _CliError(1, str(exc))
+    arr = parse_array_literal(args.array)
+    curve = lorenz_points(arr)
+    g = gini(arr)
     if args.format == "json":
         payload = json.dumps({**curve.to_dict(), "gini": g}) + "\n"
     else:
@@ -325,17 +274,15 @@ def _cmd_lorenz(args) -> int:
         _write_file(args.out, payload)
     else:
         sys.stdout.write(payload)
-    print(f"gini = {fmt_number(g)}")
+    print(f"gini = {plain_number(g)}")
     return 0
 
 
 def _cmd_batch(args) -> int:
     tol = _tolerance(args)
     table = _load_table(args)
-    if table is None:
-        raise _CliError(2, "batch mode requires --input")
-    ids = [eid for eid, _ in table.entities]
-    arrays = [arr for _, arr in table.entities]
+    ids = list(table)
+    arrays = list(table.values())
     matrix: list[list[str]] = []
     for x in arrays:
         row = []
@@ -356,10 +303,8 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.n < 1:
-        raise _CliError(2, f"--n must be >= 1, got {args.n}")
-    if args.k < 0 or args.count < 1:
-        raise _CliError(2, "--k must be >= 0 and --count >= 1")
+    if args.count < 1:
+        raise MajorizeError(f"--count must be >= 1, got {args.count}")
     lines = []
     for idx in range(args.count):
         x, y = random_dominated_pair(
@@ -450,12 +395,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc.message}", file=sys.stderr)
-        return exc.code
     except MajorizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, _NEGATIVE_RESULTS) else 2
 
 
 if __name__ == "__main__":

@@ -233,16 +233,6 @@ class VerificationReport:
     checked_steps: int
     failure: Optional[CheckFailure] = None
 
-    def to_dict(self) -> dict:
-        d: dict = {"ok": self.ok, "checked_steps": self.checked_steps}
-        if self.failure is not None:
-            d["failure"] = {
-                "step_index": self.failure.step_index,
-                "reason": self.failure.reason.value,
-                "detail": self.failure.detail,
-            }
-        return d
-
 
 def _close(a: Sequence[float], b: Sequence[float], slack: float) -> bool:
     return all(abs(p - q) <= slack for p, q in zip(a, b))

@@ -1,16 +1,11 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from majorize import Certificate, make_array
-from majorize.cli import (
-    TimelineTable,
-    main,
-    parse_timeline_csv,
-    serialize_timeline_csv,
-)
+from majorize.cli import main, parse_timeline_csv
 
 
 def run(capsys, *argv):
@@ -130,6 +125,17 @@ def test_decompose_prints_golden_chain(capsys):
         "(4,4,4,4) ≺ (7,1,4,4) ≺ (7,4,4,1) ≺ (10,1,4,1) "
         "≺ (10,4,1,1) ≺ (13,1,1,1) ≺ (14,1,1,1)"
     )
+
+
+def test_decompose_prints_chain_states_losslessly(capsys):
+    # each step is strict, so no two printed states may look alike
+    code, out, _ = run(capsys, "decompose", "1,1", "1.0000000000001,1", "--eps", "0")
+    assert code == 0
+    assert out.strip() == "(1,1) ≺ (1.0000000000001,1)"
+    code, out, _ = run(capsys, "decompose", "5,5", "5.0000000000001,6", "--eps", "0")
+    assert code == 0
+    states = out.strip().split(" ≺ ")
+    assert len(states) == len(set(states)) == 3
 
 
 def test_decompose_equal_arrays(capsys):
@@ -335,6 +341,15 @@ def test_lorenz_json_format(tmp_path, capsys):
     assert "gini = 0.25" in out
 
 
+def test_lorenz_prints_gini_losslessly(capsys):
+    code, out, _ = run(capsys, "lorenz", "1,2,3.3")
+    assert code == 0
+    printed = out.strip().splitlines()[-1]
+    code, out, _ = run(capsys, "lorenz", "1,2,3.3", "--format", "json")
+    assert code == 0
+    assert printed == f"gini = {json.dumps(json.loads(out.splitlines()[0])['gini'])}"
+
+
 def test_lorenz_csv_file(tmp_path, capsys):
     out_file = tmp_path / "curve.csv"
     code, _, _ = run(capsys, "lorenz", "3,1", "--out", str(out_file))
@@ -391,12 +406,16 @@ def test_batch_classical_mode(tmp_path, capsys):
     assert lines[2] == "b\t≻\t=\t∥"
 
 
+LONG_CELL = "1" * 131_073  # one past csv's default field size limit
+
+
 @pytest.mark.parametrize("content,fragment", [
     ("a,1,2\nb,1\n", "row 2"),
     ("a,1,2\na,3,4\n", "duplicate id"),
     ("a,1,-2\n", "row 1"),
     ("a,1,2\nb,1,zebra\n", "row 2"),
     ("", "empty"),
+    pytest.param(f"a,1,2\nb,1,{LONG_CELL}\n", "row 2: field larger than field limit", id="long-cell"),
 ])
 def test_batch_rejects_bad_csv(tmp_path, capsys, content, fragment):
     table = tmp_path / "t.csv"
@@ -406,9 +425,40 @@ def test_batch_rejects_bad_csv(tmp_path, capsys, content, fragment):
     assert fragment in err
 
 
+_TOKENS = st.sampled_from(["a", "b", "id", "1,2", "0,0", "-1", "--eps", ""]) | st.text(max_size=12)
+_CSV_TEXT = st.text(
+    alphabet=st.sampled_from("ab01,.-e\n\" id") | st.characters(exclude_categories=("Cs",)),
+    max_size=60,
+)
+
+
+@given(text=_CSV_TEXT, left=_TOKENS, right=_TOKENS)
+@example(text=f"a,1\nb,{LONG_CELL}\n", left="a", right="b")
+@settings(max_examples=300, deadline=None)
+def test_cli_survives_any_text_input(fuzz_file, text, left, right):
+    table = fuzz_file.with_name("table.csv")
+    table.write_text(text, encoding="utf-8")
+    for argv in (["batch", "--input", str(table)],
+                 ["check", left, right, "--input", str(table)],
+                 ["check", left, right],
+                 ["lorenz", left]):
+        assert main(argv) in (0, 1, 2), argv
+
+
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("flags,fragment", [
+    (["--n", "0"], "n must be >= 1"),
+    (["--n", "2", "--k", "-1"], "k must be >= 0"),
+    (["--n", "2", "--count", "0"], "--count must be >= 1"),
+])
+def test_gen_rejects_bad_sizes(capsys, flags, fragment):
+    code, _, err = run(capsys, "gen", "--seed", "1", *flags)
+    assert code == 2
+    assert fragment in err
+
 
 def test_gen_deterministic_output(capsys):
     code, first, _ = run(capsys, "gen", "--seed", "1", "--n", "4", "--k", "3", "--count", "5")
@@ -457,24 +507,17 @@ def test_gen_float_mode_pairs_pass_check(capsys):
 
 
 # ---------------------------------------------------------------------------
-# timeline CSV round trip
+# timeline CSV parsing
 # ---------------------------------------------------------------------------
 
-def test_timeline_round_trip_with_header():
-    text = "id,2025,2024,2023\nalpha,3,2,1\nbeta,1,0,4\n"
-    table = parse_timeline_csv(text)
-    assert table.period_labels == ("2025", "2024", "2023")
-    assert table.entities[0] == ("alpha", make_array([3, 2, 1]))
-    assert parse_timeline_csv(serialize_timeline_csv(table)) == table
+def test_timeline_parse_with_header():
+    table = parse_timeline_csv("id,2025,2024,2023\nbeta,1,0,4\nalpha,3,2,1\n")
+    assert list(table) == ["beta", "alpha"]  # file order, header skipped
+    assert table["alpha"] == make_array([3, 2, 1])
+    assert table["beta"] == make_array([1, 0, 4])
 
 
-def test_timeline_round_trip_without_header():
-    text = "alpha,3,2,1\nbeta,1,0,4\n"
-    table = parse_timeline_csv(text)
-    assert table.period_labels is None
-    assert parse_timeline_csv(serialize_timeline_csv(table)) == table
-
-
-def test_timeline_round_trip_float_values():
-    table = TimelineTable((("a", make_array([0.1, 2.5])), ("b", make_array([1.0, 0.3]))))
-    assert parse_timeline_csv(serialize_timeline_csv(table)) == table
+def test_timeline_parse_without_header():
+    table = parse_timeline_csv("b,0.1,2.5\na,1.0,0.3\n")
+    assert table == {"b": make_array([0.1, 2.5]), "a": make_array([1.0, 0.3])}
+    assert list(table) == ["b", "a"]

@@ -25,7 +25,7 @@ from majorize import (
     sort_desc,
     verify_certificate,
 )
-from genpairs import decreasing_pair
+from genpairs import decreasing_pair, sized
 
 CHAIN_SOURCE = make_array([4, 4, 4, 4])
 CHAIN_TARGET = make_array([14, 1, 1, 1])
@@ -316,6 +316,31 @@ def test_certificate_round_trip_floats():
     cert = decompose_general(make_array([0.5, 2.25]), make_array([1.75, 1.5]), EXACT)
     again = Certificate.from_json(cert.to_json())
     assert again == cert
+
+
+def _float_pair_size(i: int) -> tuple[int, int]:
+    """``sized(i)``, except that every 100th pair is long: n = 50 + i // 100, k = 2n."""
+    if i % 100:
+        return sized(i)
+    n = 50 + i // 100
+    return n, 2 * n
+
+
+@pytest.mark.parametrize("produce,transfers_only", [
+    (decompose_general, False),
+    (decompose_transfers, True),
+], ids=["general", "transfers"])
+def test_float_certificates_verify_at_default_eps(produce, transfers_only):
+    # float pairs exercise the n*eps replay slack that integer suites at eps = 0 never reach
+    for i in range(2000):
+        x, y = random_dominated_pair(6000 + i, *_float_pair_size(i),
+                                     integer_mode=False, transfers_only=transfers_only)
+        cert = produce(x, y)
+        report = verify_certificate(cert)
+        assert report.ok, (i, report.failure)
+        again = Certificate.from_json(cert.to_json())
+        assert again == cert
+        assert verify_certificate(again).ok, i
 
 
 @pytest.mark.parametrize("mutate", [
