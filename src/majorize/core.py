@@ -138,9 +138,11 @@ class Array:
         vals = tuple(map(float, self.values))
         if not vals:
             raise EmptyArray("an array needs at least one component")
-        for idx, v in enumerate(vals, start=1):
-            if not (v >= 0.0) or math.isinf(v):  # NaN fails the comparison
-                raise NegativeComponent(idx, v)
+        if not (min(vals) >= 0.0 and sum(vals) < math.inf):  # the sum is NaN or inf if any value is
+            for idx, v in enumerate(vals, start=1):
+                if not (v >= 0.0) or math.isinf(v):  # NaN fails the comparison
+                    raise NegativeComponent(idx, v)
+            raise MajorizeError("the components sum past the largest float; prefix sums would overflow")
         object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:

@@ -6,18 +6,20 @@ increases).  The functions here produce such a chain as an explicit,
 replayable certificate, verify certificates independently of how they were
 produced, and generate random dominated pairs for property testing.
 
-Decomposition strategy (one step per iteration, re-derived from the current
-state):
+Decomposition strategy (one forward sweep, Marshall-Olkin-Arnold Lemma
+2.B.1): two pointers move left to right, ``i`` to the first position still
+short of the target and ``j`` to the first position still above it.
 
-* If some position of the current array exceeds the target, take the first
-  such position ``j`` and transfer its surplus toward the first earlier
-  position that is still short of the target (capped by that deficit).
-* Otherwise every position is at most its target; raise the first strict
-  shortfall to its target value with a plain increase.
+* While some position ``j`` exceeds the target, transfer from it toward the
+  shortfall ``i`` before it, capped by both that deficit and that surplus.
+* Once no surplus is left, raise each remaining shortfall to its target
+  value with a plain increase.
 
-Each step strictly raises at least one prefix sum while staying inside the
-dominance cone of the target, so the total prefix gap to the target shrinks
-at every step and the chain terminates.
+A step only fills position ``i`` and only drains position ``j``, so no
+position behind a pointer becomes unsettled and neither pointer moves back,
+except when rounding lifts a filled position over its target or a
+decreasing-mode sort reorders the array.  Each step strictly raises at least
+one prefix sum while staying inside the dominance cone of the target.
 """
 
 from __future__ import annotations
@@ -348,47 +350,14 @@ def _dominance_witness(xvals: Sequence[float], yvals: Sequence[float], eps: floa
     return None
 
 
-def _require_dominated(x: Array, y: Array, eps: float) -> None:
-    witness = _dominance_witness(x.values, y.values, eps)
-    if witness is not None:
-        raise NotDominated(witness)
-
-
-def _next_step(cur: list[float], target: tuple[float, ...], eps: float):
-    """Choose the next impact step toward the target, or None when settled.
-
-    A position counts as exceeding the target only beyond ``n * eps`` (a
-    shortfall counts beyond ``eps``); this keeps the loop making progress of
-    at least eps per step on noisy float inputs and is exact when eps = 0.
-    """
-    n = len(cur)
-    surplus_eps = n * eps
-    for j in range(n):
-        c = cur[j] - target[j]
-        if c > surplus_eps:
-            for i in range(j):
-                d = target[i] - cur[i]
-                if d > eps:
-                    return Transfer(i + 1, j + 1, d if d < c else c)
-            # unreachable when cur is dominated by target
-            raise NotDominated(
-                j + 1,
-                f"position {j + 1} exceeds the target with no earlier shortfall to absorb it",
-            )
-    for i in range(n):
-        d = target[i] - cur[i]
-        if d > eps:
-            return Increase(i + 1, d)
-    return None
-
-
 def decompose_general(x: Array, y: Array, tol: ToleranceLike = None) -> Certificate:
     """Produce a chain of impact steps from ``x`` to ``y`` (general mode).
 
     Requires ``x`` to be dominated by ``y``.  Every intermediate strictly
     dominates its predecessor and stays below the target; the chain ends at
-    the target (exactly for integer inputs).  At most one step is emitted per
-    position, so the chain length never exceeds the array length.
+    the target (exactly for integer inputs).  For integer inputs up to 2**53
+    every step settles a position, so the chain has at most one step per
+    position; float rounding can leave a position unsettled and add steps.
 
     Raises:
         LengthMismatch: the arrays differ in length.
@@ -402,9 +371,10 @@ def decompose_decreasing(x: Array, y: Array, tol: ToleranceLike = None) -> Certi
     """Chain of impact steps with re-sorting, for a non-increasing target.
 
     After every impact step whose result is out of order, a descending sort
-    step is emitted, so the working array is kept non-increasing.  The
-    descending rearrangement of every intermediate then also stays below the
-    target, provided the source itself is non-increasing.
+    step is emitted if it raises some prefix sum beyond ``eps``, so the
+    working array is kept non-increasing up to rounding.  The descending
+    rearrangement of every intermediate is checked to stay below the target,
+    which holds when the source itself is non-increasing.
 
     For sources that are NOT non-increasing such a chain may not exist at
     all: re-sorting an intermediate can push an early prefix sum above the
@@ -447,23 +417,44 @@ def _decompose(x: Array, y: Array, tol: ToleranceLike, mode: CertificateMode) ->
         raise TargetNotDecreasing("target must be non-increasing for decreasing mode")
     if mode is CertificateMode.TRANSFERS and abs(x.total - y.total) > eps:
         raise SumsNotEqual(x.total, y.total)
-    _require_dominated(x, y, eps)
+    witness = _dominance_witness(x.values, y.values, eps)
+    if witness is not None:
+        raise NotDominated(witness)
 
     cur = list(x.values)
     yv = y.values
+    n = len(cur)
+    surplus_eps = n * eps  # a surplus counts beyond n * eps, a shortfall beyond eps
     steps: list[Step] = []
     inters: list[Array] = []
-    cap = 8 * len(cur) ** 2 + 64  # generous tripwire; the chooser settles a position per step
+    cap = 8 * n ** 2 + 64  # tripwire: decreasing mode's re-sorts have no proven linear bound
+    i = j = 0  # every position before i is filled, every position before j drained
     while True:
-        step = _next_step(cur, yv, eps)
-        if step is None:
+        while i < n and yv[i] - cur[i] <= eps:
+            i += 1
+        while j < n and cur[j] - yv[j] <= surplus_eps:
+            j += 1
+        if j < n:
+            if i > j:
+                raise MajorizeError(
+                    f"position {j + 1} exceeds the target with no earlier shortfall to absorb "
+                    f"it: the values are beyond exact float arithmetic at eps={eps!r}"
+                )
+            d, c = yv[i] - cur[i], cur[j] - yv[j]
+            step = Transfer(i + 1, j + 1, d if d < c else c)
+        elif i < n:
+            d = yv[i] - cur[i]
+            if mode is CertificateMode.TRANSFERS:
+                raise MajorizeError(
+                    f"transfers mode would need an increase of {d!r} at position {i + 1}: "
+                    f"the surplus that should cover it is within the n*eps transfer threshold"
+                )
+            step = Increase(i + 1, d)
+        else:
             return Certificate(x, y, tuple(steps), tuple(inters), mode)
-        if mode is CertificateMode.TRANSFERS and not isinstance(step, Transfer):
-            raise MajorizeError(
-                f"transfers mode would need an increase of {step.a!r} at position {step.i}: "
-                f"the surplus that should cover it is within the n*eps transfer threshold"
-            )
         _apply_inplace(cur, step)
+        if cur[i] - yv[i] > surplus_eps:
+            j = i  # rounding lifted the filled position over its target
         steps.append(step)
         inters.append(Array(tuple(cur)))
         if mode is CertificateMode.DECREASING and not inters[-1].is_non_increasing():
@@ -476,11 +467,13 @@ def _decompose(x: Array, y: Array, tol: ToleranceLike, mode: CertificateMode) ->
                     "decreasing-mode chain exists for this source (sort the source "
                     "first or use general mode)",
                 )
-            cur = ranked
-            steps.append(SortDesc())
-            inters.append(Array(tuple(cur)))
+            if _dominance_witness(ranked, cur, eps) is not None:  # else the sort is not strict
+                cur = ranked
+                steps.append(SortDesc())
+                inters.append(Array(tuple(cur)))
+                i = j = 0
         if len(steps) > cap:  # only reachable for adversarial sub-eps inputs
-            raise RuntimeError("decomposition did not converge; inputs are at tolerance scale")
+            raise MajorizeError("decomposition did not converge; inputs are at tolerance scale")
 
 
 # ---------------------------------------------------------------------------

@@ -40,25 +40,31 @@ def classical_pair(seed: int, n: int, k: int) -> tuple[Array, Array]:
     return make_array(x), make_array(y)
 
 
-def decreasing_pair(seed: int, n: int, k: int) -> tuple[Array, Array]:
-    """Integer pair with both arrays non-increasing and X below Y.
+def decreasing_pair(seed: int, n: int, k: int, integer_mode: bool = True) -> tuple[Array, Array]:
+    """Pair with both arrays non-increasing and X below Y.
 
     Starts from a ranked sample and applies k forward impact moves, re-ranking
     after each, so the chain stays inside the dominance cone of its endpoint.
+    Integer mode draws values in 0..100 and integral amounts; otherwise the
+    same draws are uniform floats.
     """
     rng = random.Random(seed)
-    x = sorted((float(rng.randint(0, 100)) for _ in range(n)), reverse=True)
+
+    def draw(hi: float) -> float:
+        return float(rng.randint(0, int(hi))) if integer_mode else rng.uniform(0.0, hi)
+
+    x = sorted((draw(100) for _ in range(n)), reverse=True)
     w = list(x)
     for _ in range(k):
         if n > 1 and rng.random() < 0.7:
             i = rng.randint(1, n - 1)
             j = rng.randint(i + 1, n)
-            a = float(rng.randint(0, int(w[j - 1])))
+            a = draw(w[j - 1])
             w[i - 1] += a
             w[j - 1] -= a
         else:
             i = rng.randint(1, n)
-            w[i - 1] += float(rng.randint(0, 50))
+            w[i - 1] += draw(50)
         w.sort(reverse=True)
     return make_array(x), make_array(w)
 

@@ -84,6 +84,14 @@ def test_check_negative_component_exits_two(capsys):
     assert "component" in err
 
 
+def test_check_overflowing_totals_exits_two(capsys):
+    # both second prefix sums would be inf, so the two arrays used to compare Equal
+    code, out, err = run(capsys, "check", "1e308,1e308", "1e308,1.7e308")
+    assert code == 2
+    assert out == ""
+    assert "largest float" in err
+
+
 def test_check_entity_refs(tmp_path, capsys):
     table = tmp_path / "t.csv"
     table.write_text("id,y1,y2,y3,y4\na,4,4,4,4\nb,14,1,1,1\n")
@@ -186,6 +194,25 @@ def test_decompose_transfers_surplus_below_threshold_exits_two(tmp_path, capsys)
     assert code == 2
     assert "increase" in err
     assert not out_file.exists()
+
+
+def test_decompose_rounding_overshoot_exits_two(capsys):
+    # filling position 1 rounds past its target; the pair itself is dominated
+    code, out, _ = run(capsys, "check", "3,0", "10000000000000002,3")
+    assert (code, out.strip()) == (0, "LeftStrictlyBelow")
+    code, _, err = run(capsys, "decompose", "3,0", "10000000000000002,3")
+    assert code == 2
+    assert "position 1" in err and "beyond exact float arithmetic" in err
+
+
+def test_decreasing_float_certificate_verifies(tmp_path, capsys):
+    cert_file = tmp_path / "d.json"
+    code, _, _ = run(capsys, "decompose", "91.89,75.19,44.51", "206.51,4.87,0.21",
+                     "--mode", "decreasing", "--out", str(cert_file))
+    assert code == 0
+    code, out, _ = run(capsys, "verify", "--cert", str(cert_file))
+    assert code == 0
+    assert "certificate OK" in out
 
 
 def test_decreasing_target_order_is_exact_for_producer_and_verifier(tmp_path, capsys):
@@ -329,6 +356,13 @@ def test_lorenz_zero_total_exits_one(capsys):
     code, _, err = run(capsys, "lorenz", "0,0")
     assert code == 1
     assert "zero" in err
+
+
+def test_lorenz_overflowing_total_exits_two(capsys):
+    code, out, err = run(capsys, "lorenz", "1e308,1e308")
+    assert code == 2
+    assert "nan" not in out
+    assert "largest float" in err
 
 
 def test_lorenz_json_format(tmp_path, capsys):

@@ -11,6 +11,7 @@ from majorize import (
     Increase,
     IndexOutOfBounds,
     LengthMismatch,
+    MajorizeError,
     NegativeComponent,
     NonPositiveAmount,
     SortDesc,
@@ -61,6 +62,16 @@ def test_make_array_rejects_empty_and_non_finite():
         make_array([float("nan")])
     with pytest.raises(NegativeComponent):
         make_array([float("inf")])
+
+
+def test_make_array_rejects_an_overflowing_total():
+    with pytest.raises(MajorizeError, match="largest float") as exc:
+        make_array([1e308, 1e308])
+    assert not isinstance(exc.value, NegativeComponent)
+    assert make_array([1e308, 7e307]).total < math.inf
+    with pytest.raises(NegativeComponent) as exc:  # a bad component is still named
+        make_array([1e308, 1e308, float("nan")])
+    assert exc.value.index == 3
 
 
 def test_tolerance_semantics():

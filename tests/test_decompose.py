@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from majorize import (
@@ -7,6 +9,7 @@ from majorize import (
     FailureReason,
     Increase,
     LengthMismatch,
+    MajorizeError,
     MalformedCertificate,
     NotDominated,
     SortDesc,
@@ -25,6 +28,7 @@ from majorize import (
     sort_desc,
     verify_certificate,
 )
+from majorize.core import _apply_inplace
 from genpairs import decreasing_pair, sized
 
 CHAIN_SOURCE = make_array([4, 4, 4, 4])
@@ -326,21 +330,117 @@ def _float_pair_size(i: int) -> tuple[int, int]:
     return n, 2 * n
 
 
-@pytest.mark.parametrize("produce,transfers_only", [
-    (decompose_general, False),
-    (decompose_transfers, True),
-], ids=["general", "transfers"])
-def test_float_certificates_verify_at_default_eps(produce, transfers_only):
+@pytest.mark.parametrize("produce,pair", [
+    (decompose_general, lambda s, n, k: random_dominated_pair(s, n, k, integer_mode=False)),
+    (decompose_transfers,
+     lambda s, n, k: random_dominated_pair(s, n, k, integer_mode=False, transfers_only=True)),
+    (decompose_decreasing, lambda s, n, k: decreasing_pair(s, n, k, integer_mode=False)),
+], ids=["general", "transfers", "decreasing"])
+def test_float_certificates_verify_at_default_eps(produce, pair):
     # float pairs exercise the n*eps replay slack that integer suites at eps = 0 never reach
     for i in range(2000):
-        x, y = random_dominated_pair(6000 + i, *_float_pair_size(i),
-                                     integer_mode=False, transfers_only=transfers_only)
+        x, y = pair(6000 + i, *_float_pair_size(i))
         cert = produce(x, y)
         report = verify_certificate(cert)
         assert report.ok, (i, report.failure)
         again = Certificate.from_json(cert.to_json())
         assert again == cert
         assert verify_certificate(again).ok, i
+
+
+def test_rounding_can_add_steps_beyond_one_per_position():
+    cert = decompose_general(make_array([1, 0]), make_array([10000000000000002, 3]))
+    assert cert.steps == (Increase(1, 1e16), Increase(1, 2), Increase(2, 3))
+    assert verify_certificate(cert).ok
+
+
+# Reference for the sweep in ``_decompose``: a step chooser that rescans from
+# position 0 for every step, so it needs no pointers and no rounding rewind.
+def _rescanning_next_step(cur, target, eps):
+    n = len(cur)
+    surplus_eps = n * eps
+    for j in range(n):
+        c = cur[j] - target[j]
+        if c > surplus_eps:
+            for i in range(j):
+                d = target[i] - cur[i]
+                if d > eps:
+                    return Transfer(i + 1, j + 1, d if d < c else c)
+            raise NotDominated(
+                j + 1,
+                f"position {j + 1} exceeds the target with no earlier shortfall to absorb it",
+            )
+    for i in range(n):
+        d = target[i] - cur[i]
+        if d > eps:
+            return Increase(i + 1, d)
+    return None
+
+
+def _rescanning_chain(x, y, eps, transfers_only):
+    """The chooser's steps, or the error whose message starts the library's message."""
+    if transfers_only and abs(x.total - y.total) > eps:
+        raise SumsNotEqual(x.total, y.total)
+    sx = sy = 0.0
+    for k, (xv, yv) in enumerate(zip(x, y), start=1):
+        sx += xv
+        sy += yv
+        if sx > sy + eps:
+            raise NotDominated(k)
+    cur = list(x.values)
+    steps = []
+    while True:
+        step = _rescanning_next_step(cur, y.values, eps)
+        if step is None:
+            return tuple(steps)
+        if transfers_only and not isinstance(step, Transfer):
+            raise MajorizeError(f"transfers mode would need an increase of {step.a!r} "
+                                f"at position {step.i}")
+        _apply_inplace(cur, step)
+        steps.append(step)
+        if len(steps) > 8 * len(cur) ** 2 + 64:
+            raise MajorizeError("decomposition did not converge")
+
+
+def _pinning_case(i, transfers_only):
+    """Integers at eps 0, floats at eps 0 or 1e-9, and pairs lifted near 1e16 by turns."""
+    rng = random.Random(i)
+    n, k = sized(i)
+    kind = i % 4
+    x, y = random_dominated_pair(9000 + i, n, k, integer_mode=kind in (0, 3),
+                                 transfers_only=transfers_only or rng.random() < 0.5)
+    eps = 0.0 if kind == 0 else rng.choice((0.0, 1e-9))
+    if kind == 3:  # 1e16 added to the target alone, or to both arrays, at some positions
+        xv, yv = list(x.values), list(y.values)
+        for p in range(n):
+            r = rng.random()
+            if r < 0.3:
+                yv[p] += 1e16
+            elif r < 0.6:
+                xv[p] += 1e16
+                yv[p] += 1e16
+        x, y = make_array(xv), make_array(yv)
+    return x, y, eps
+
+
+@pytest.mark.parametrize("produce,transfers_only", [
+    (decompose_general, False),
+    (decompose_transfers, True),
+], ids=["general", "transfers"])
+def test_sweep_emits_the_rescanning_choosers_steps(produce, transfers_only):
+    overshoots = 0
+    for i in range(6000):
+        x, y, eps = _pinning_case(i, transfers_only)
+        try:
+            expected = _rescanning_chain(x, y, eps, transfers_only)
+        except MajorizeError as err:
+            with pytest.raises(MajorizeError) as exc:
+                produce(x, y, eps)
+            assert str(exc.value).startswith(str(err)), i
+            overshoots += "no earlier shortfall" in str(err)
+            continue
+        assert produce(x, y, eps).steps == expected, i
+    assert overshoots > 100  # the 1e16 pairs do reach the rounding branch
 
 
 @pytest.mark.parametrize("mutate", [
