@@ -6,7 +6,6 @@ increases), Lorenz curves with the Gini index, and a CLI for timeline data.
 
 from .core import (
     DEFAULT_EPS,
-    DEFAULT_TOLERANCE,
     EXACT,
     Array,
     DominanceOutcome,
@@ -20,11 +19,10 @@ from .core import (
     SortDesc,
     SortStepNotEii,
     Step,
-    Tolerance,
     Transfer,
     TransferExceedsSource,
     apply_eii,
-    as_tolerance,
+    as_eps,
     componentwise_leq,
     dominates_or_equal,
     generalized_compare,
@@ -36,7 +34,6 @@ from .core import (
 from .decompose import (
     Certificate,
     CertificateMode,
-    CheckFailure,
     FailureReason,
     MalformedCertificate,
     NotDominated,
@@ -51,7 +48,6 @@ from .decompose import (
     verify_certificate,
 )
 from .lorenz import (
-    LorenzCurve,
     ZeroTotal,
     classical_majorizes,
     convex_inequality_holds,

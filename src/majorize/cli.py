@@ -27,12 +27,11 @@ import sys
 from typing import Optional, Sequence
 
 from .core import (
-    DEFAULT_EPS,
     OUTCOME,
     Array,
     DominanceOutcome,
     MajorizeError,
-    Tolerance,
+    as_eps,
     dominates_or_equal,
     generalized_compare,
     make_array,
@@ -179,19 +178,16 @@ def _operands(args, table: Optional[dict[str, Array]]) -> tuple[Array, Array]:
     return _resolve_operand(args.left, table), _resolve_operand(args.right, table)
 
 
-def _tolerance(args) -> Tolerance:
-    if args.eps is not None:
-        eps = args.eps
-    else:
+def _tolerance(args) -> float:
+    eps = args.eps
+    if eps is None:
         raw = os.environ.get("MAJORIZE_EPS")
-        if raw is None:
-            eps = DEFAULT_EPS
-        else:
+        if raw is not None:
             try:
                 eps = float(raw)
             except ValueError:
                 raise MajorizeError(f"MAJORIZE_EPS is not a number: {raw!r}") from None
-    return Tolerance(eps)
+    return as_eps(eps)
 
 
 def _write_file(path: str, content: str) -> None:
@@ -241,7 +237,7 @@ def _cmd_decompose(args) -> int:
     else:
         print("already equal")
     if args.out:
-        _write_file(args.out, cert.to_json(indent=2) + "\n")
+        _write_file(args.out, cert.to_json() + "\n")
     return 0
 
 
@@ -256,20 +252,19 @@ def _cmd_verify(args) -> int:
     if report.ok:
         print(f"certificate OK ({report.checked_steps} steps checked)")
         return 0
-    f = report.failure
-    where = "certificate" if f.step_index is None else f"step {f.step_index}"
-    print(f"certificate INVALID: {f.reason.value} at {where}: {f.detail}")
+    where = "certificate" if report.step_index is None else f"step {report.step_index}"
+    print(f"certificate INVALID: {report.reason.value} at {where}: {report.detail}")
     return 1
 
 
 def _cmd_lorenz(args) -> int:
     arr = parse_array_literal(args.array)
-    curve = lorenz_points(arr)
+    points = lorenz_points(arr)
     g = gini(arr)
     if args.format == "json":
-        payload = json.dumps({**curve.to_dict(), "gini": g}) + "\n"
+        payload = json.dumps({"points": [list(p) for p in points], "gini": g}) + "\n"
     else:
-        payload = curve.to_csv()
+        payload = "abscissa,ordinate\n" + "".join(f"{a!r},{o!r}\n" for a, o in points)
     if args.out:
         _write_file(args.out, payload)
     else:
@@ -297,7 +292,7 @@ def _cmd_batch(args) -> int:
     for eid, row in zip(ids, matrix):
         print("\t".join([eid, *row]))
     if args.out:
-        report = {"mode": args.mode, "eps": tol.eps, "ids": ids, "matrix": matrix}
+        report = {"mode": args.mode, "eps": tol, "ids": ids, "matrix": matrix}
         _write_file(args.out, json.dumps(report, ensure_ascii=False, indent=2) + "\n")
     return 0
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 
 # ---------------------------------------------------------------------------
@@ -76,52 +76,26 @@ class SortStepNotEii(MajorizeError):
 
 
 # ---------------------------------------------------------------------------
-# Tolerance
+# Comparison slack
 # ---------------------------------------------------------------------------
 
 DEFAULT_EPS = 1e-9
+EXACT = 0.0
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Absolute comparison slack.
+def as_eps(tol: Optional[float]) -> float:
+    """The absolute comparison slack: ``None`` gives ``DEFAULT_EPS``.
 
     ``a <= b`` holds iff ``a <= b + eps``; ``a == b`` holds iff
     ``|a - b| <= eps``.  With ``eps = 0`` the order is a genuine partial
     order (reflexive, antisymmetric, transitive).
     """
-
-    eps: float = DEFAULT_EPS
-
-    def __post_init__(self):
-        eps = float(self.eps)
-        if not (eps >= 0.0) or math.isinf(eps):
-            raise MajorizeError(f"eps must be finite and >= 0, got {self.eps!r}")
-        object.__setattr__(self, "eps", eps)
-
-    def leq(self, a: float, b: float) -> bool:
-        return a <= b + self.eps
-
-    def lt(self, a: float, b: float) -> bool:
-        return a < b - self.eps
-
-    def eq(self, a: float, b: float) -> bool:
-        return abs(a - b) <= self.eps
-
-
-DEFAULT_TOLERANCE = Tolerance()
-EXACT = Tolerance(0.0)
-
-ToleranceLike = Union[Tolerance, float, None]
-
-
-def as_tolerance(tol: ToleranceLike) -> Tolerance:
-    """Coerce ``None`` (default), a float eps, or a Tolerance to a Tolerance."""
     if tol is None:
-        return DEFAULT_TOLERANCE
-    if isinstance(tol, Tolerance):
-        return tol
-    return Tolerance(float(tol))
+        return DEFAULT_EPS
+    eps = float(tol)
+    if not (eps >= 0.0) or math.isinf(eps):
+        raise MajorizeError(f"eps must be finite and >= 0, got {eps!r}")
+    return eps
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +243,7 @@ def _require_same_length(x: Array, y: Array) -> None:
         raise LengthMismatch(len(x), len(y))
 
 
-def generalized_compare(x: Array, y: Array, tol: ToleranceLike = None) -> DominanceOutcome:
+def generalized_compare(x: Array, y: Array, tol: Optional[float] = None) -> DominanceOutcome:
     """Four-way comparison under prefix-sum dominance.
 
     X is below Y when every prefix sum of X is <= the corresponding prefix
@@ -278,7 +252,7 @@ def generalized_compare(x: Array, y: Array, tol: ToleranceLike = None) -> Domina
     ``eps = 0``.
     """
     _require_same_length(x, y)
-    eps = as_tolerance(tol).eps
+    eps = as_eps(tol)
     sx = sy = 0.0
     left = right = True
     for xv, yv in zip(x.values, y.values):
@@ -298,10 +272,10 @@ def dominates_or_equal(outcome: DominanceOutcome) -> bool:
     return outcome in (DominanceOutcome.EQUAL, DominanceOutcome.LEFT_STRICTLY_BELOW)
 
 
-def componentwise_leq(x: Array, y: Array, tol: ToleranceLike = None) -> bool:
+def componentwise_leq(x: Array, y: Array, tol: Optional[float] = None) -> bool:
     """True iff x_i <= y_i (within tolerance) at every position."""
     _require_same_length(x, y)
-    eps = as_tolerance(tol).eps
+    eps = as_eps(tol)
     return all(xv <= yv + eps for xv, yv in zip(x.values, y.values))
 
 
@@ -309,7 +283,7 @@ def componentwise_leq(x: Array, y: Array, tol: ToleranceLike = None) -> bool:
 # Applying steps
 # ---------------------------------------------------------------------------
 
-def apply_eii(x: Array, step: Step, tol: ToleranceLike = None) -> Array:
+def apply_eii(x: Array, step: Step, tol: Optional[float] = None) -> Array:
     """Apply one elementary impact step (transfer or increase) to an array.
 
     The result strictly dominates the input in the generalized order: a
@@ -329,7 +303,7 @@ def apply_eii(x: Array, step: Step, tol: ToleranceLike = None) -> Array:
         if step.j > n:
             raise IndexOutOfBounds(f"transfer touches position {step.j} of a length-{n} array")
         src = x.values[step.j - 1]
-        if step.a > src + as_tolerance(tol).eps:
+        if step.a > src + as_eps(tol):
             raise TransferExceedsSource(step.j, src, step.a)
     elif isinstance(step, Increase):
         if step.i > n:

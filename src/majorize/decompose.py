@@ -37,10 +37,9 @@ from .core import (
     MajorizeError,
     SortDesc,
     Step,
-    ToleranceLike,
     Transfer,
     apply_eii,
-    as_tolerance,
+    as_eps,
     dominates_or_equal,
     generalized_compare,
     make_array,
@@ -223,24 +222,21 @@ class FailureReason(Enum):
 
 
 @dataclass(frozen=True)
-class CheckFailure:
-    step_index: Optional[int]  # 0-based step, None for certificate-level failures
-    reason: FailureReason
-    detail: str
-
-
-@dataclass(frozen=True)
 class VerificationReport:
+    """The verdict; a failed check also names its reason, step and detail."""
+
     ok: bool
     checked_steps: int
-    failure: Optional[CheckFailure] = None
+    reason: Optional[FailureReason] = None
+    step_index: Optional[int] = None  # 0-based step, None for certificate-level failures
+    detail: str = ""
 
 
 def _close(a: Sequence[float], b: Sequence[float], slack: float) -> bool:
     return all(abs(p - q) <= slack for p, q in zip(a, b))
 
 
-def verify_certificate(cert: Certificate, tol: ToleranceLike = None) -> VerificationReport:
+def verify_certificate(cert: Certificate, tol: Optional[float] = None) -> VerificationReport:
     """Check a certificate without trusting its producer.
 
     Every mode requires: replaying each step reproduces the recorded
@@ -254,13 +250,12 @@ def verify_certificate(cert: Certificate, tol: ToleranceLike = None) -> Verifica
 
     Failures are reported, never raised.
     """
-    tolerance = as_tolerance(tol)
-    eps = tolerance.eps
+    eps = as_eps(tol)
     n = len(cert.source)
     replay_slack = n * eps  # exact when eps = 0
 
     def failed(step_index: Optional[int], checked: int, reason: FailureReason, detail: str):
-        return VerificationReport(False, checked, CheckFailure(step_index, reason, detail))
+        return VerificationReport(False, checked, reason, step_index, detail)
 
     # structural mode checks
     if cert.mode is CertificateMode.TRANSFERS:
@@ -282,21 +277,21 @@ def verify_certificate(cert: Certificate, tol: ToleranceLike = None) -> Verifica
     computed = cert.source
     for t, (step, recorded) in enumerate(zip(cert.steps, cert.intermediates)):
         try:
-            computed = _replay_step(computed, step, tolerance)
+            computed = _replay_step(computed, step, eps)
         except MajorizeError as exc:
             return failed(t, t, FailureReason.REPLAY_MISMATCH,
                           f"step {t} is not applicable: {exc}")
         if not _close(computed.values, recorded.values, replay_slack):
             return failed(t, t, FailureReason.REPLAY_MISMATCH,
                           f"replaying step {t} does not reproduce the recorded intermediate")
-        if generalized_compare(prev, recorded, tolerance) is not DominanceOutcome.LEFT_STRICTLY_BELOW:
+        if generalized_compare(prev, recorded, eps) is not DominanceOutcome.LEFT_STRICTLY_BELOW:
             return failed(t, t, FailureReason.CHAIN_NOT_STRICT,
                           f"intermediate {t} does not strictly dominate its predecessor")
-        if not dominates_or_equal(generalized_compare(recorded, cert.target, tolerance)):
+        if not dominates_or_equal(generalized_compare(recorded, cert.target, eps)):
             return failed(t, t, FailureReason.NOT_SANDWICHED_BY_TARGET,
                           f"intermediate {t} is not dominated by the target")
         if cert.mode is CertificateMode.DECREASING and not isinstance(step, SortDesc):
-            if not dominates_or_equal(generalized_compare(sort_desc(recorded), cert.target, tolerance)):
+            if not dominates_or_equal(generalized_compare(sort_desc(recorded), cert.target, eps)):
                 return failed(t, t, FailureReason.SORTED_INTERMEDIATE_NOT_BELOW_TARGET,
                               f"descending rearrangement of intermediate {t} is not below the target")
         if cert.mode is CertificateMode.TRANSFERS:
@@ -315,7 +310,7 @@ def verify_certificate(cert: Certificate, tol: ToleranceLike = None) -> Verifica
 # Replay
 # ---------------------------------------------------------------------------
 
-def replay(source: Array, steps: Sequence[Step], tol: ToleranceLike = None) -> Array:
+def replay(source: Array, steps: Sequence[Step], tol: Optional[float] = None) -> Array:
     """Left-fold the steps over the source array.
 
     Errors raised while applying a step carry the 0-based offending position
@@ -331,7 +326,7 @@ def replay(source: Array, steps: Sequence[Step], tol: ToleranceLike = None) -> A
     return cur
 
 
-def _replay_step(x: Array, step: Step, tol: ToleranceLike) -> Array:
+def _replay_step(x: Array, step: Step, tol: Optional[float]) -> Array:
     return sort_desc(x) if isinstance(step, SortDesc) else apply_eii(x, step, tol)
 
 
@@ -350,7 +345,7 @@ def _dominance_witness(xvals: Sequence[float], yvals: Sequence[float], eps: floa
     return None
 
 
-def decompose_general(x: Array, y: Array, tol: ToleranceLike = None) -> Certificate:
+def decompose_general(x: Array, y: Array, tol: Optional[float] = None) -> Certificate:
     """Produce a chain of impact steps from ``x`` to ``y`` (general mode).
 
     Requires ``x`` to be dominated by ``y``.  Every intermediate strictly
@@ -367,7 +362,7 @@ def decompose_general(x: Array, y: Array, tol: ToleranceLike = None) -> Certific
     return _decompose(x, y, tol, CertificateMode.GENERAL)
 
 
-def decompose_decreasing(x: Array, y: Array, tol: ToleranceLike = None) -> Certificate:
+def decompose_decreasing(x: Array, y: Array, tol: Optional[float] = None) -> Certificate:
     """Chain of impact steps with re-sorting, for a non-increasing target.
 
     After every impact step whose result is out of order, a descending sort
@@ -392,7 +387,7 @@ def decompose_decreasing(x: Array, y: Array, tol: ToleranceLike = None) -> Certi
     return _decompose(x, y, tol, CertificateMode.DECREASING)
 
 
-def decompose_transfers(x: Array, y: Array, tol: ToleranceLike = None) -> Certificate:
+def decompose_transfers(x: Array, y: Array, tol: Optional[float] = None) -> Certificate:
     """Chain of transfers only, for equal-total inputs.
 
     With equal totals a plain increase can never occur (it would push the
@@ -409,9 +404,9 @@ def decompose_transfers(x: Array, y: Array, tol: ToleranceLike = None) -> Certif
     return _decompose(x, y, tol, CertificateMode.TRANSFERS)
 
 
-def _decompose(x: Array, y: Array, tol: ToleranceLike, mode: CertificateMode) -> Certificate:
+def _decompose(x: Array, y: Array, tol: Optional[float], mode: CertificateMode) -> Certificate:
     """The one decomposition loop; ``mode`` adds its precondition and its re-sort or check."""
-    eps = as_tolerance(tol).eps
+    eps = as_eps(tol)
     _require_same_length(x, y)
     if mode is CertificateMode.DECREASING and not y.is_non_increasing():
         raise TargetNotDecreasing("target must be non-increasing for decreasing mode")

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, Optional
 
 from .core import (
     Array,
     MajorizeError,
-    ToleranceLike,
-    as_tolerance,
+    as_eps,
     _require_same_length,
 )
 
@@ -29,61 +28,31 @@ class ZeroTotal(MajorizeError):
     """The Lorenz curve of an all-zero array is undefined."""
 
 
-@dataclass(frozen=True)
-class LorenzCurve:
-    """Polyline of cumulative-share points in the unit square.
-
-    Abscissas step uniformly from 0 to 1; ordinates are the cumulative shares
-    of the decreasingly ranked components, so they are non-decreasing with
-    non-increasing increments (a concave polyline ending exactly at (1,1)).
-    """
-
-    points: tuple[tuple[float, float], ...]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    @property
-    def ordinates(self) -> tuple[float, ...]:
-        return tuple(p[1] for p in self.points)
-
-    def to_dict(self) -> dict:
-        return {"points": [[a, o] for a, o in self.points]}
-
-    def to_csv(self) -> str:
-        lines = ["abscissa,ordinate"]
-        lines += [f"{a!r},{o!r}" for a, o in self.points]
-        return "\n".join(lines) + "\n"
-
-
-def lorenz_points(x: Array) -> LorenzCurve:
+def lorenz_points(x: Array) -> tuple[tuple[float, float], ...]:
     """Cumulative-share polyline of the decreasingly ranked components.
+
+    The points run from (0,0) to exactly (1,1).  Abscissas step uniformly;
+    ordinates are the cumulative shares of the ranked components, so they are
+    non-decreasing with non-increasing increments (a concave polyline).
 
     Raises ZeroTotal when the array sums to zero.
     """
     ranked = sorted(x.values, reverse=True)
-    total = sum(ranked)  # summed in ranked order so the last share is exactly 1.0
+    run = list(accumulate(ranked))
+    total = run[-1]  # the last running sum, not sum(), so the last share is exactly 1.0
     if total <= 0.0:
         raise ZeroTotal("all components are zero; the curve is undefined")
     n = len(ranked)
-    pts = [(0.0, 0.0)]
-    run = 0.0
-    for k, v in enumerate(ranked, start=1):
-        run += v
-        pts.append((k / n, run / total))
-    return LorenzCurve(tuple(pts))
+    return ((0.0, 0.0), *((k / n, r / total) for k, r in enumerate(run, start=1)))
 
 
-def classical_majorizes(x: Array, y: Array, tol: ToleranceLike = None) -> bool:
+def classical_majorizes(x: Array, y: Array, tol: Optional[float] = None) -> bool:
     """True iff the ranked prefix sums of x never exceed y's and totals match.
 
     Equivalently, the Lorenz curve of y lies (weakly) above that of x.
     """
     _require_same_length(x, y)
-    eps = as_tolerance(tol).eps
+    eps = as_eps(tol)
     rx = sorted(x.values, reverse=True)
     ry = sorted(y.values, reverse=True)
     sx = sy = 0.0
@@ -122,7 +91,7 @@ def convex_inequality_holds(
     x: Array,
     y: Array,
     family: Optional[Iterable[Callable[[float], float]]] = None,
-    tol: ToleranceLike = None,
+    tol: Optional[float] = None,
 ) -> bool:
     """True iff sum(phi(x_i)) <= sum(phi(y_i)) + eps for every phi in the family.
 
@@ -130,7 +99,7 @@ def convex_inequality_holds(
     classical majorization; a finite family cannot certify the converse.
     """
     _require_same_length(x, y)
-    eps = as_tolerance(tol).eps
+    eps = as_eps(tol)
     if family is None:
         family = default_convex_family(x, y)
     for phi in family:
@@ -149,7 +118,7 @@ def gini(x: Array) -> float:
 
     Raises ZeroTotal for all-zero arrays.
     """
-    pts = lorenz_points(x).points
+    pts = lorenz_points(x)
     area = 0.0
     for (a0, o0), (a1, o1) in zip(pts, pts[1:]):
         area += (o0 + o1) * (a1 - a0)

@@ -205,8 +205,8 @@ def test_acceptance_08_concentration_is_an_order_morphism():
         if gx > gy:
             bad += 1
             continue
-        cx = lorenz_points(x).ordinates
-        cy = lorenz_points(y).ordinates
+        cx = [o for _, o in lorenz_points(x)]
+        cy = [o for _, o in lorenz_points(y)]
         gap = max(abs(a - b) for a, b in zip(cx, cy))
         if gap > 1e-9 and not gx < gy:
             bad += 1

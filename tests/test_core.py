@@ -16,10 +16,10 @@ from majorize import (
     NonPositiveAmount,
     SortDesc,
     SortStepNotEii,
-    Tolerance,
     Transfer,
     TransferExceedsSource,
     apply_eii,
+    as_eps,
     componentwise_leq,
     dominates_or_equal,
     generalized_compare,
@@ -75,14 +75,17 @@ def test_make_array_rejects_an_overflowing_total():
 
 
 def test_tolerance_semantics():
-    tol = Tolerance(0.5)
-    assert tol.leq(1.0, 0.6)
-    assert not tol.leq(1.0, 0.4)
-    assert tol.eq(1.0, 1.5)
-    assert tol.lt(1.0, 1.6)
-    assert not tol.lt(1.0, 1.5)
-    with pytest.raises(ValueError):
-        Tolerance(-1e-3)
+    assert as_eps(None) == 1e-9
+    assert as_eps(0.5) == 0.5 and as_eps(0) == 0.0
+    # gaps up to eps count as equal, larger ones decide the order
+    assert generalized_compare(make_array([1.0]), make_array([0.6]), 0.5) is EQ
+    assert generalized_compare(make_array([1.0]), make_array([0.4]), 0.5) is RSB
+    assert generalized_compare(make_array([1.0]), make_array([1.6]), 0.5) is LSB
+    for bad in (-1e-3, math.inf, math.nan):
+        with pytest.raises(MajorizeError, match="eps must be finite and >= 0"):
+            as_eps(bad)
+        with pytest.raises(MajorizeError, match="eps must be finite and >= 0"):
+            generalized_compare(make_array([1]), make_array([1]), bad)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +233,7 @@ def test_apply_eii_error_paths():
 
 def test_transfer_within_tolerance_clamps_to_zero():
     x = make_array([0.0, 1.0])
-    out = apply_eii(x, Transfer(1, 2, 1.0 + 1e-12), Tolerance(1e-9))
+    out = apply_eii(x, Transfer(1, 2, 1.0 + 1e-12), 1e-9)
     assert out.values[1] == 0.0
 
 

@@ -205,7 +205,7 @@ def test_verify_accepts_golden_chain():
     report = verify_certificate(chain_certificate(), EXACT)
     assert report.ok
     assert report.checked_steps == 6
-    assert report.failure is None
+    assert report.reason is None
 
 
 def test_verify_accepts_empty_certificate():
@@ -219,16 +219,16 @@ def test_verify_flags_perturbed_amount_as_replay_mismatch():
     tampered = Certificate(cert.source, cert.target, steps, cert.intermediates, cert.mode)
     report = verify_certificate(tampered, EXACT)
     assert not report.ok
-    assert report.failure.reason is FailureReason.REPLAY_MISMATCH
-    assert report.failure.step_index == 0
+    assert report.reason is FailureReason.REPLAY_MISMATCH
+    assert report.step_index == 0
 
 
 def test_verify_flags_unreached_target():
     cert = Certificate(make_array([1, 1]), make_array([2, 2]), (), (), CertificateMode.GENERAL)
     report = verify_certificate(cert, EXACT)
     assert not report.ok
-    assert report.failure.reason is FailureReason.REPLAY_MISMATCH
-    assert report.failure.step_index is None
+    assert report.reason is FailureReason.REPLAY_MISMATCH
+    assert report.step_index is None
 
 
 def test_verify_flags_non_strict_chain():
@@ -237,7 +237,7 @@ def test_verify_flags_non_strict_chain():
     cert = Certificate(src, src, (SortDesc(),), (src,), CertificateMode.GENERAL)
     report = verify_certificate(cert, EXACT)
     assert not report.ok
-    assert report.failure.reason is FailureReason.CHAIN_NOT_STRICT
+    assert report.reason is FailureReason.CHAIN_NOT_STRICT
 
 
 def test_verify_flags_overshoot_past_target():
@@ -247,7 +247,7 @@ def test_verify_flags_overshoot_past_target():
     )
     report = verify_certificate(cert, EXACT)
     assert not report.ok
-    assert report.failure.reason is FailureReason.NOT_SANDWICHED_BY_TARGET
+    assert report.reason is FailureReason.NOT_SANDWICHED_BY_TARGET
 
 
 def test_verify_flags_increase_in_transfers_mode():
@@ -257,7 +257,7 @@ def test_verify_flags_increase_in_transfers_mode():
     )
     report = verify_certificate(cert, EXACT)
     assert not report.ok
-    assert report.failure.reason is FailureReason.MODE_VIOLATION
+    assert report.reason is FailureReason.MODE_VIOLATION
 
 
 def test_verify_flags_unranked_target_in_decreasing_mode():
@@ -266,7 +266,7 @@ def test_verify_flags_unranked_target_in_decreasing_mode():
     )
     report = verify_certificate(cert, EXACT)
     assert not report.ok
-    assert report.failure.reason is FailureReason.MODE_VIOLATION
+    assert report.reason is FailureReason.MODE_VIOLATION
 
 
 def test_verify_flags_sort_without_preceding_impact_step():
@@ -276,7 +276,7 @@ def test_verify_flags_sort_without_preceding_impact_step():
     )
     report = verify_certificate(cert, EXACT)
     assert not report.ok
-    assert report.failure.reason is FailureReason.MODE_VIOLATION
+    assert report.reason is FailureReason.MODE_VIOLATION
 
 
 def test_verify_flags_sorted_intermediate_above_target():
@@ -286,7 +286,7 @@ def test_verify_flags_sorted_intermediate_above_target():
     )
     report = verify_certificate(cert, EXACT)
     assert not report.ok
-    assert report.failure.reason is FailureReason.SORTED_INTERMEDIATE_NOT_BELOW_TARGET
+    assert report.reason is FailureReason.SORTED_INTERMEDIATE_NOT_BELOW_TARGET
 
 
 def test_totals_never_decrease_along_chains():
@@ -342,7 +342,7 @@ def test_float_certificates_verify_at_default_eps(produce, pair):
         x, y = pair(6000 + i, *_float_pair_size(i))
         cert = produce(x, y)
         report = verify_certificate(cert)
-        assert report.ok, (i, report.failure)
+        assert report.ok, (i, report.reason, report.detail)
         again = Certificate.from_json(cert.to_json())
         assert again == cert
         assert verify_certificate(again).ok, i
