@@ -24,6 +24,7 @@ from .core import (
     apply_eii,
     as_eps,
     componentwise_leq,
+    dominance_matrix,
     dominates_or_equal,
     generalized_compare,
     make_array,

@@ -27,11 +27,11 @@ import sys
 from typing import Optional, Sequence
 
 from .core import (
-    OUTCOME,
     Array,
     DominanceOutcome,
     MajorizeError,
     as_eps,
+    dominance_matrix,
     dominates_or_equal,
     generalized_compare,
     make_array,
@@ -277,17 +277,9 @@ def _cmd_batch(args) -> int:
     tol = _tolerance(args)
     table = _load_table(args)
     ids = list(table)
-    arrays = list(table.values())
-    matrix: list[list[str]] = []
-    for x in arrays:
-        row = []
-        for y in arrays:
-            if args.mode == "classical":
-                outcome = OUTCOME[classical_majorizes(x, y, tol), classical_majorizes(y, x, tol)]
-            else:
-                outcome = generalized_compare(x, y, tol)
-            row.append(_OUTCOME_SYMBOL[outcome])
-        matrix.append(row)
+    outcomes = dominance_matrix(list(table.values()), tol, ranked=args.mode == "classical")
+    matrix = [[_OUTCOME_SYMBOL[outcome] for outcome in row] for row in outcomes]
+    del outcomes  # m * m references that printing and the JSON report no longer need
     print("\t".join(["id", *ids]))
     for eid, row in zip(ids, matrix):
         print("\t".join([eid, *row]))

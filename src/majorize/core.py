@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +102,25 @@ def as_eps(tol: Optional[float]) -> float:
 # Arrays and prefix sums
 # ---------------------------------------------------------------------------
 
+# Any order of summing n non-negative floats stays within a factor
+# (1 + 2**-53)**n of the exact sum, so for any n below 2**55 a sum() below
+# 2**1020 leaves every running sum finite.
+_SAFE_TOTAL = 2.0 ** 1020
+
+
+def _running_total(values: Iterable[float]) -> float:
+    """Left-to-right float sum.
+
+    From Python 3.12 on ``sum()`` compensates rounding, so its result depends
+    on the interpreter; this is the plain running sum that every prefix scan
+    here computes.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 @dataclass(frozen=True)
 class Array:
     """Immutable finite sequence of non-negative scalars, length >= 1."""
@@ -112,11 +131,13 @@ class Array:
         vals = tuple(map(float, self.values))
         if not vals:
             raise EmptyArray("an array needs at least one component")
-        if not (min(vals) >= 0.0 and sum(vals) < math.inf):  # the sum is NaN or inf if any value is
+        # sum() is NaN or inf if any value is; below _SAFE_TOTAL no summation order overflows
+        if not (min(vals) >= 0.0 and sum(vals) < _SAFE_TOTAL):
             for idx, v in enumerate(vals, start=1):
                 if not (v >= 0.0) or math.isinf(v):  # NaN fails the comparison
                     raise NegativeComponent(idx, v)
-            raise MajorizeError("the components sum past the largest float; prefix sums would overflow")
+            if not _running_total(vals) < math.inf:
+                raise MajorizeError("the components sum past the largest float; prefix sums would overflow")
         object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:
@@ -130,7 +151,8 @@ class Array:
 
     @property
     def total(self) -> float:
-        return sum(self.values)
+        """The last prefix sum, the same float on every Python version."""
+        return _running_total(self.values)
 
     def is_non_increasing(self) -> bool:
         """Exact check, without tolerance, shared by the decreasing-mode producer and verifier."""
@@ -265,6 +287,53 @@ def generalized_compare(x: Array, y: Array, tol: Optional[float] = None) -> Domi
         if not (left or right):
             return DominanceOutcome.INCOMPARABLE
     return OUTCOME[left, right]
+
+
+def dominance_matrix(
+    arrays: Sequence[Array], tol: Optional[float] = None, ranked: bool = False
+) -> list[list[DominanceOutcome]]:
+    """Every pairwise outcome: entry ``[a][b]`` compares ``arrays[a]`` with ``arrays[b]``.
+
+    By default the outcome is ``generalized_compare``'s.  With ``ranked`` it
+    is classical majorization in both directions, as ``classical_majorizes``
+    decides it: prefix sums of the decreasingly ranked values, with totals
+    equal within eps.  Each array's running sums are computed once, in the
+    same order as the per-pair functions add them, so the outcomes are theirs
+    exactly.  Each unordered pair is scanned once; its mirror entry is the flip.
+
+    Ranked pairs whose totals differ by more than eps are ``INCOMPARABLE``
+    without a scan.  Once the arrays are sorted by total, the pairs within eps
+    of an array form one window after it, because float subtraction is
+    monotone: the first total beyond eps ends the window.
+    """
+    eps = as_eps(tol)
+    for y in arrays[1:]:
+        _require_same_length(arrays[0], y)
+    m = len(arrays)
+    if ranked:
+        sums = [list(accumulate(sorted(x.values, reverse=True))) for x in arrays]
+        keys = [run.pop() for run in sums]  # the totals, compared apart from the scan
+    else:
+        sums = [list(accumulate(x.values)) for x in arrays]
+        keys = [0.0] * m  # no pair is ruled out in advance
+    order = sorted(range(m), key=keys.__getitem__)
+    rows = [[DominanceOutcome.INCOMPARABLE] * m for _ in range(m)]
+    for start, a in enumerate(order):
+        pa, ka = sums[a], keys[a]
+        for b in order[start:]:
+            if not keys[b] - ka <= eps:  # NaN from two infinite totals ends it too
+                break
+            left = right = True
+            for sx, sy in zip(pa, sums[b]):
+                if sx > sy + eps:
+                    left = False
+                if sy > sx + eps:
+                    right = False
+                if not (left or right):
+                    break
+            rows[a][b] = OUTCOME[left, right]
+            rows[b][a] = OUTCOME[right, left]
+    return rows
 
 
 def dominates_or_equal(outcome: DominanceOutcome) -> bool:

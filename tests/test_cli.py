@@ -1,4 +1,6 @@
 import json
+import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -6,12 +8,17 @@ from hypothesis import strategies as st
 
 from majorize import (
     Certificate,
+    DominanceOutcome,
+    classical_majorizes,
     decompose_decreasing,
     decompose_general,
     decompose_transfers,
+    generalized_compare,
     make_array,
+    random_dominated_pair,
 )
 from majorize.cli import main, parse_timeline_csv
+from majorize.core import OUTCOME
 
 
 def run(capsys, *argv):
@@ -217,6 +224,14 @@ def test_decompose_unequal_sums_exits_one(capsys):
     code, _, err = run(capsys, "decompose", "2,2", "3,2", "--mode", "transfers")
     assert code == 1
     assert "totals differ" in err
+
+
+def test_decompose_totals_agree_on_every_python(capsys):
+    # sum() of ten 0.1s is 1.0 from Python 3.12 on; the running sum, 0.9999999999999999, is not
+    tenths = ",".join(["0.1"] * 10)
+    code, _, err = run(capsys, "decompose", tenths, "1" + ",0" * 9, "--mode", "transfers", "--eps", "0")
+    assert code == 1
+    assert "totals differ: 0.9999999999999999 vs 1.0" in err
 
 
 def test_decompose_transfers_surplus_below_threshold_exits_two(tmp_path, capsys):
@@ -483,6 +498,64 @@ def test_batch_classical_mode(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[1] == "a\t=\t≺\t∥"  # c has a different total
     assert lines[2] == "b\t≻\t=\t∥"
+
+
+_SYMBOL = {
+    DominanceOutcome.EQUAL: "=",
+    DominanceOutcome.LEFT_STRICTLY_BELOW: "≺",
+    DominanceOutcome.RIGHT_STRICTLY_BELOW: "≻",
+    DominanceOutcome.INCOMPARABLE: "∥",
+}
+
+
+def per_cell_batch(rows, mode, eps):
+    """Reference matrix: one comparison per ordered cell, as each cell was once computed."""
+    arrays = [make_array(row) for row in rows]
+
+    def cell(x, y):
+        if mode == "classical":
+            return OUTCOME[classical_majorizes(x, y, eps), classical_majorizes(y, x, eps)]
+        return generalized_compare(x, y, eps)
+    return [[_SYMBOL[cell(x, y)] for y in arrays] for x in arrays]
+
+
+def _seeded_rows(seed, kind):
+    rng = random.Random(seed)
+    if kind == "integers":
+        return [[rng.randint(0, 4) for _ in range(5)] for _ in range(14)]
+    if kind == "float-pairs":  # dominated pairs, so some cells are comparable
+        return [list(a) for s in range(7) for a in random_dominated_pair(seed + s, 6, 4, integer_mode=False)]
+    rows = [[rng.uniform(0, 10) for _ in range(5)] for _ in range(14)]
+    return [[v / sum(row) for v in row] for row in rows]  # shares: every total within rounding of 1
+
+
+_JUST_OVER = math.nextafter(2.25, 3) - 1  # 1 + this is the float right above 2.25, exactly
+
+
+@pytest.mark.parametrize("rows,eps", [
+    pytest.param(_seeded_rows(1, "integers"), 0.0, id="integers-eps0"),
+    pytest.param(_seeded_rows(2, "float-pairs"), None, id="floats-default-eps"),
+    pytest.param(_seeded_rows(3, "shares"), None, id="shared-total"),
+    # totals 2, 2.25 (exactly eps above), 2.25 + 1 ulp (just over eps above 2) and 2.5
+    pytest.param([[1, 1], [1.25, 1], [1, _JUST_OVER], [0.5, 1.5], [2.5, 0], [1, 1.25]], 0.25,
+                 id="totals-at-eps"),
+    pytest.param([[3], [3], [2], [0], [2.5]], 0.5, id="width-one"),
+    pytest.param([[1, 2, 3]], 0.0, id="single-row"),
+    pytest.param([[2, 1, 0], [2, 1, 0], [1, 2, 0], [2, 1, 0], [0, 3, 0]], 0.0, id="duplicate-rows"),
+])
+def test_batch_matches_per_cell_comparisons(tmp_path, capsys, rows, eps):
+    table = tmp_path / "t.csv"
+    table.write_text("".join(f"r{k}," + ",".join(map(repr, row)) + "\n" for k, row in enumerate(rows)))
+    ids = [f"r{k}" for k in range(len(rows))]
+    for mode in ("general", "classical"):
+        report = tmp_path / f"{mode}.json"
+        argv = ["batch", "--input", str(table), "--mode", mode, "--out", str(report)]
+        code, out, _ = run(capsys, *argv, *([] if eps is None else ["--eps", repr(eps)]))
+        assert code == 0
+        expected = per_cell_batch(rows, mode, eps)
+        assert json.loads(report.read_text(encoding="utf-8"))["matrix"] == expected
+        assert out.splitlines() == ["\t".join(["id", *ids])] + [
+            "\t".join([eid, *row]) for eid, row in zip(ids, expected)]
 
 
 LONG_CELL = "1" * 131_073  # one past csv's default field size limit

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,9 @@ from majorize import (
     TransferExceedsSource,
     apply_eii,
     as_eps,
+    classical_majorizes,
     componentwise_leq,
+    dominance_matrix,
     dominates_or_equal,
     generalized_compare,
     make_array,
@@ -29,6 +32,7 @@ from majorize import (
     sort_asc,
     sort_desc,
 )
+from majorize.core import OUTCOME
 
 EQ = DominanceOutcome.EQUAL
 LSB = DominanceOutcome.LEFT_STRICTLY_BELOW
@@ -72,6 +76,17 @@ def test_make_array_rejects_an_overflowing_total():
     with pytest.raises(NegativeComponent) as exc:  # a bad component is still named
         make_array([1e308, 1e308, float("nan")])
     assert exc.value.index == 3
+
+
+def test_total_and_overflow_check_use_the_running_sum():
+    # sum() compensates rounding from Python 3.12 on; a running sum is the same everywhere
+    tenths = make_array([0.1] * 10)
+    assert tenths.total == prefix_sums(tenths)[-1] == 0.9999999999999999
+    top = sys.float_info.max
+    near = make_array([top, 2.0 ** 969, 2.0 ** 969])  # the exact sum rounds to inf, the running sum does not
+    assert near.total == prefix_sums(near)[-1] == top
+    with pytest.raises(MajorizeError, match="largest float"):
+        make_array([2.0 ** 969, 2.0 ** 969, top])
 
 
 def test_tolerance_semantics():
@@ -160,6 +175,43 @@ def test_compare_tolerance_treats_small_gaps_as_equal():
     y = make_array([1.0 + 1e-12, 2.0])
     assert generalized_compare(x, y) is EQ  # default eps 1e-9
     assert generalized_compare(x, y, EXACT) is LSB
+
+
+# ---------------------------------------------------------------------------
+# dominance matrix
+# ---------------------------------------------------------------------------
+
+def per_cell_matrix(arrays, tol, ranked):
+    """Reference: one comparison per ordered cell, no sharing between cells."""
+    def cell(x, y):
+        if ranked:
+            return OUTCOME[classical_majorizes(x, y, tol), classical_majorizes(y, x, tol)]
+        return generalized_compare(x, y, tol)
+    return [[cell(x, y) for y in arrays] for x in arrays]
+
+
+@st.composite
+def small_tables(draw):
+    n = draw(st.integers(1, 5))
+    # few distinct values, so equal totals, ties and gaps of exactly eps are common
+    value = st.sampled_from([0, 1, 2, 0.5, 0.25, 0.1, 0.2, 0.3, 1e-9, 1 + 1e-9])
+    rows = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=1, max_size=7))
+    return [make_array(row) for row in rows]
+
+
+@given(small_tables(), st.sampled_from([0.0, 1e-9, 0.25, None]), st.booleans())
+@settings(max_examples=400)
+def test_dominance_matrix_matches_per_cell_comparisons(arrays, tol, ranked):
+    assert dominance_matrix(arrays, tol, ranked) == per_cell_matrix(arrays, tol, ranked)
+
+
+def test_dominance_matrix_edges():
+    assert dominance_matrix([]) == []
+    assert dominance_matrix([make_array([3])], ranked=True) == [[EQ]]
+    with pytest.raises(LengthMismatch):
+        dominance_matrix([make_array([1, 2]), make_array([1, 2]), make_array([1])])
+    with pytest.raises(MajorizeError, match="eps must be finite"):
+        dominance_matrix([make_array([1])], -1.0)
 
 
 # ---------------------------------------------------------------------------
