@@ -277,9 +277,9 @@ def _cmd_batch(args) -> int:
     tol = _tolerance(args)
     table = _load_table(args)
     ids = list(table)
-    outcomes = dominance_matrix(list(table.values()), tol, ranked=args.mode == "classical")
-    matrix = [[_OUTCOME_SYMBOL[outcome] for outcome in row] for row in outcomes]
-    del outcomes  # m * m references that printing and the JSON report no longer need
+    # generalized_compare is passed from this module, where bench/run.py traces it
+    matrix = [[_OUTCOME_SYMBOL[outcome] for outcome in row] for row in dominance_matrix(
+        list(table.values()), tol, args.mode == "classical", generalized_compare)]
     print("\t".join(["id", *ids]))
     for eid, row in zip(ids, matrix):
         print("\t".join([eid, *row]))

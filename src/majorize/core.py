@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 
 # ---------------------------------------------------------------------------
@@ -103,22 +103,9 @@ def as_eps(tol: Optional[float]) -> float:
 # ---------------------------------------------------------------------------
 
 # Any order of summing n non-negative floats stays within a factor
-# (1 + 2**-53)**n of the exact sum, so for any n below 2**55 a sum() below
+# (1 + 2**-53)**n of the exact sum, so for any n below 2**54 a sum() below
 # 2**1020 leaves every running sum finite.
 _SAFE_TOTAL = 2.0 ** 1020
-
-
-def _running_total(values: Iterable[float]) -> float:
-    """Left-to-right float sum.
-
-    From Python 3.12 on ``sum()`` compensates rounding, so its result depends
-    on the interpreter; this is the plain running sum that every prefix scan
-    here computes.
-    """
-    total = 0.0
-    for v in values:
-        total += v
-    return total
 
 
 @dataclass(frozen=True)
@@ -136,7 +123,7 @@ class Array:
             for idx, v in enumerate(vals, start=1):
                 if not (v >= 0.0) or math.isinf(v):  # NaN fails the comparison
                     raise NegativeComponent(idx, v)
-            if not _running_total(vals) < math.inf:
+            if not list(accumulate(vals))[-1] < math.inf:
                 raise MajorizeError("the components sum past the largest float; prefix sums would overflow")
         object.__setattr__(self, "values", vals)
 
@@ -151,8 +138,13 @@ class Array:
 
     @property
     def total(self) -> float:
-        """The last prefix sum, the same float on every Python version."""
-        return _running_total(self.values)
+        """The last prefix sum, the same float on every Python version.
+
+        From Python 3.12 on ``sum()`` compensates rounding, so its result
+        depends on the interpreter; this is the plain running sum that every
+        prefix scan here computes.
+        """
+        return list(accumulate(self.values, initial=0.0))[-1]
 
     def is_non_increasing(self) -> bool:
         """Exact check, without tolerance, shared by the decreasing-mode producer and verifier."""
@@ -258,6 +250,8 @@ OUTCOME = {
     (False, True): DominanceOutcome.RIGHT_STRICTLY_BELOW,
     (False, False): DominanceOutcome.INCOMPARABLE,
 }
+# the outcome with left and right swapped
+_FLIPPED = {outcome: OUTCOME[right, left] for (left, right), outcome in OUTCOME.items()}
 
 
 def _require_same_length(x: Array, y: Array) -> None:
@@ -290,38 +284,46 @@ def generalized_compare(x: Array, y: Array, tol: Optional[float] = None) -> Domi
 
 
 def dominance_matrix(
-    arrays: Sequence[Array], tol: Optional[float] = None, ranked: bool = False
+    arrays: Sequence[Array],
+    tol: Optional[float] = None,
+    ranked: bool = False,
+    compare: Callable[[Array, Array, float], DominanceOutcome] = generalized_compare,
 ) -> list[list[DominanceOutcome]]:
     """Every pairwise outcome: entry ``[a][b]`` compares ``arrays[a]`` with ``arrays[b]``.
 
-    By default the outcome is ``generalized_compare``'s.  With ``ranked`` it
-    is classical majorization in both directions, as ``classical_majorizes``
-    decides it: prefix sums of the decreasingly ranked values, with totals
-    equal within eps.  Each array's running sums are computed once, in the
-    same order as the per-pair functions add them, so the outcomes are theirs
-    exactly.  Each unordered pair is scanned once; its mirror entry is the flip.
+    Each unordered pair is decided once; its mirror entry is the flip, and
+    the diagonal is ``EQUAL``.  By default an entry above the diagonal is
+    ``compare(arrays[a], arrays[b], eps)``, where ``compare`` is
+    ``generalized_compare`` or a stand-in for it.
 
-    Ranked pairs whose totals differ by more than eps are ``INCOMPARABLE``
-    without a scan.  Once the arrays are sorted by total, the pairs within eps
-    of an array form one window after it, because float subtraction is
-    monotone: the first total beyond eps ends the window.
+    With ``ranked`` the outcome is classical majorization in both directions,
+    as ``classical_majorizes`` decides it, and ``compare`` is not called.
+    Each array's ranked running sums are computed once, in the order
+    ``classical_majorizes`` adds them, so the outcomes are its exactly.  Pairs
+    whose totals differ by more than eps are ``INCOMPARABLE`` without a scan.
+    Once the arrays are sorted by total, the pairs within eps of an array form
+    one window after it, because float subtraction is monotone: the first
+    total beyond eps ends the window.
     """
     eps = as_eps(tol)
     for y in arrays[1:]:
         _require_same_length(arrays[0], y)
     m = len(arrays)
-    if ranked:
-        sums = [list(accumulate(sorted(x.values, reverse=True))) for x in arrays]
-        keys = [run.pop() for run in sums]  # the totals, compared apart from the scan
-    else:
-        sums = [list(accumulate(x.values)) for x in arrays]
-        keys = [0.0] * m  # no pair is ruled out in advance
-    order = sorted(range(m), key=keys.__getitem__)
     rows = [[DominanceOutcome.INCOMPARABLE] * m for _ in range(m)]
+    if not ranked:
+        for a, x in enumerate(arrays):
+            rows[a][a] = DominanceOutcome.EQUAL
+            for b in range(a + 1, m):
+                outcome = rows[a][b] = compare(x, arrays[b], eps)
+                rows[b][a] = _FLIPPED[outcome]
+        return rows
+    sums = [list(accumulate(sorted(x.values, reverse=True))) for x in arrays]
+    totals = [run.pop() for run in sums]  # compared apart from the scan
+    order = sorted(range(m), key=totals.__getitem__)
     for start, a in enumerate(order):
-        pa, ka = sums[a], keys[a]
+        pa, ta = sums[a], totals[a]
         for b in order[start:]:
-            if not keys[b] - ka <= eps:  # NaN from two infinite totals ends it too
+            if not totals[b] - ta <= eps:
                 break
             left = right = True
             for sx, sy in zip(pa, sums[b]):

@@ -558,6 +558,23 @@ def test_batch_matches_per_cell_comparisons(tmp_path, capsys, rows, eps):
             "\t".join([eid, *row]) for eid, row in zip(ids, expected)]
 
 
+def test_batch_general_decides_each_pair_through_cli_generalized_compare(tmp_path, capsys, monkeypatch):
+    # the benchmark traces and replaces cli.generalized_compare, so batch must call it
+    table = tmp_path / "t.csv"
+    table.write_text("a,2,2\nb,3,1\nc,1,1\n")
+    calls = []
+
+    def wrong_first_pair(x, y, tol=None):
+        calls.append((tuple(x.values), tuple(y.values)))
+        return DominanceOutcome.INCOMPARABLE if len(calls) == 1 else generalized_compare(x, y, tol)
+
+    monkeypatch.setattr("majorize.cli.generalized_compare", wrong_first_pair)
+    code, out, _ = run(capsys, "batch", "--input", str(table))
+    assert code == 0
+    assert calls == [((2, 2), (3, 1)), ((2, 2), (1, 1)), ((3, 1), (1, 1))]
+    assert out.splitlines()[1:3] == ["a\t=\t∥\t≻", "b\t∥\t=\t≻"]
+
+
 LONG_CELL = "1" * 131_073  # one past csv's default field size limit
 
 
