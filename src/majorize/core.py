@@ -323,7 +323,7 @@ def dominance_matrix(
     for start, a in enumerate(order):
         pa, ta = sums[a], totals[a]
         for b in order[start:]:
-            if not totals[b] - ta <= eps:
+            if not totals[b] - ta <= eps:  # NaN from two infinite totals ends it too
                 break
             left = right = True
             for sx, sy in zip(pa, sums[b]):

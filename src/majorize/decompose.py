@@ -274,6 +274,7 @@ def verify_certificate(cert: Certificate, tol: Optional[float] = None) -> Verifi
                                   f"sort step {t} does not immediately follow an impact step")
 
     prev = cert.source
+    prev_total = prev.total  # each intermediate's total is summed once
     computed = cert.source
     for t, (step, recorded) in enumerate(zip(cert.steps, cert.intermediates)):
         try:
@@ -295,9 +296,11 @@ def verify_certificate(cert: Certificate, tol: Optional[float] = None) -> Verifi
                 return failed(t, t, FailureReason.SORTED_INTERMEDIATE_NOT_BELOW_TARGET,
                               f"descending rearrangement of intermediate {t} is not below the target")
         if cert.mode is CertificateMode.TRANSFERS:
-            if abs(recorded.total - prev.total) > max(eps, replay_slack):
+            total = recorded.total
+            if abs(total - prev_total) > max(eps, replay_slack):
                 return failed(t, t, FailureReason.MODE_VIOLATION,
                               f"total not conserved at step {t}")
+            prev_total = total
         prev = recorded
 
     if not _close(prev.values, cert.target.values, replay_slack):
