@@ -158,7 +158,8 @@ def _resolve_operand(token: str, table: Optional[dict[str, Array]]) -> Array:
 
 def _read_file(path: str) -> str:
     try:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig drops a byte-order mark that would otherwise start the first cell or the JSON
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise MajorizeError(f"cannot read {path}: {exc}") from exc
@@ -228,6 +229,8 @@ def _cmd_decompose(args) -> int:
         "transfers": decompose_transfers,
     }[args.mode]
     cert = produce(left, right, tol)
+    if args.out:
+        _write_file(args.out, cert.to_json() + "\n")
     if cert.steps:
         # consecutive states share all but one or two values (a sort only reorders
         # them), so memoising formats about n + 2 * steps numbers, not n * steps
@@ -236,8 +239,6 @@ def _cmd_decompose(args) -> int:
         print(" ≺ ".join("(" + ",".join(map(text, z)) + ")" for z in states))
     else:
         print("already equal")
-    if args.out:
-        _write_file(args.out, cert.to_json() + "\n")
     return 0
 
 
@@ -280,12 +281,12 @@ def _cmd_batch(args) -> int:
     # generalized_compare is passed from this module, where bench/run.py traces it
     matrix = [[_OUTCOME_SYMBOL[outcome] for outcome in row] for row in dominance_matrix(
         list(table.values()), tol, args.mode == "classical", generalized_compare)]
+    if args.out:
+        report = {"mode": args.mode, "eps": tol, "ids": ids, "matrix": matrix}
+        _write_file(args.out, json.dumps(report, ensure_ascii=False) + "\n")
     print("\t".join(["id", *ids]))
     for eid, row in zip(ids, matrix):
         print("\t".join([eid, *row]))
-    if args.out:
-        report = {"mode": args.mode, "eps": tol, "ids": ids, "matrix": matrix}
-        _write_file(args.out, json.dumps(report, ensure_ascii=False, indent=2) + "\n")
     return 0
 
 

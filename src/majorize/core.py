@@ -242,6 +242,9 @@ class DominanceOutcome(Enum):
     RIGHT_STRICTLY_BELOW = "RightStrictlyBelow"
     INCOMPARABLE = "Incomparable"
 
+    # members are singletons compared by identity; Enum's own __hash__ hashes the name in Python code
+    __hash__ = object.__hash__
+
 
 # (left is below right, right is below left) -> outcome
 OUTCOME = {
@@ -323,7 +326,7 @@ def dominance_matrix(
     for start, a in enumerate(order):
         pa, ta = sums[a], totals[a]
         for b in order[start:]:
-            if not totals[b] - ta <= eps:  # NaN from two infinite totals ends it too
+            if totals[b] - ta > eps:
                 break
             left = right = True
             for sx, sy in zip(pa, sums[b]):

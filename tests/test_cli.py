@@ -208,6 +208,13 @@ def test_decompose_out_is_the_compact_certificate_json(tmp_path, capsys, mode, p
     assert out_file.read_bytes() == expected.encode("utf-8")
 
 
+def test_decompose_unwritable_out_exits_two_before_printing(tmp_path, capsys):
+    code, out, err = run(capsys, "decompose", "1,1", "2,2", "--out", str(tmp_path / "missing" / "x.json"))
+    assert code == 2
+    assert out == ""
+    assert "cannot write" in err
+
+
 def test_decompose_not_dominated_exits_one(capsys):
     code, _, err = run(capsys, "decompose", "3,1", "2,2")
     assert code == 1
@@ -358,6 +365,15 @@ def test_verify_wrongly_typed_certificate_exits_two(tmp_path, capsys, text):
     assert err.startswith("error:")
 
 
+def test_verify_reads_a_certificate_with_a_byte_order_mark(tmp_path, capsys):
+    cert_file = tmp_path / "cert.json"
+    cert = decompose_general(make_array([1, 5, 2]), make_array([3, 4, 3]))
+    cert_file.write_bytes(b"\xef\xbb\xbf" + cert.to_json().encode("utf-8"))
+    code, out, _ = run(capsys, "verify", "--cert", str(cert_file))
+    assert code == 0
+    assert "OK" in out
+
+
 def test_verify_undecodable_file_exits_two(tmp_path, capsys):
     cert_file = tmp_path / "cert.json"
     cert_file.write_bytes(b"\xff\xfe{}")
@@ -498,6 +514,46 @@ def test_batch_classical_mode(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[1] == "a\t=\t≺\t∥"  # c has a different total
     assert lines[2] == "b\t≻\t=\t∥"
+
+
+@pytest.mark.parametrize("mode", ["general", "classical"])
+def test_batch_out_is_compact_json(tmp_path, capsys, mode):
+    table = tmp_path / "t.csv"
+    table.write_text("a,2,2\nb,3,1\nc,1,1\n")
+    report = tmp_path / "report.json"
+    code, _, _ = run(capsys, "batch", "--input", str(table), "--mode", mode, "--out", str(report))
+    assert code == 0
+    matrix = {
+        "general": [["=", "≺", "≻"], ["≻", "=", "≻"], ["≺", "≺", "="]],
+        "classical": [["=", "≺", "∥"], ["≻", "=", "∥"], ["∥", "∥", "="]],
+    }[mode]
+    expected = {"mode": mode, "eps": 1e-9, "ids": ["a", "b", "c"], "matrix": matrix}
+    assert report.read_bytes() == (json.dumps(expected, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+def test_batch_unwritable_out_exits_two_before_printing(tmp_path, capsys):
+    table = tmp_path / "t.csv"
+    table.write_text("a,2,2\nb,3,1\n")
+    code, out, err = run(capsys, "batch", "--input", str(table), "--out", str(tmp_path / "missing" / "x.json"))
+    assert code == 2
+    assert out == ""
+    assert "cannot write" in err
+
+
+def test_batch_skips_a_byte_order_mark_before_the_header(tmp_path, capsys):
+    table = tmp_path / "t.csv"
+    table.write_bytes(b"\xef\xbb\xbfid,2021,2022\na,1,2\nb,3,0\n")
+    code, out, _ = run(capsys, "batch", "--input", str(table))
+    assert code == 0
+    assert out.splitlines() == ["id\ta\tb", "a\t=\t≺", "b\t≻\t="]
+
+
+def test_first_entity_id_after_a_byte_order_mark_is_reachable(tmp_path, capsys):
+    table = tmp_path / "t.csv"
+    table.write_bytes(b"\xef\xbb\xbfa,1,2\nb,3,0\n")
+    code, out, _ = run(capsys, "check", "a", "b", "--input", str(table))
+    assert code == 0
+    assert out.strip() == "LeftStrictlyBelow"
 
 
 _SYMBOL = {

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import sys
 
 import pytest
@@ -137,6 +139,15 @@ def test_prefix_sums_match_slice_oracle(x):
 ])
 def test_generalized_compare_goldens(x, y, outcome):
     assert generalized_compare(make_array(x), make_array(y), EXACT) is outcome
+
+
+@pytest.mark.parametrize("clone", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_outcome_survives_copying_as_dict_key_and_set_member(clone):
+    by_outcome = {outcome: outcome.value for outcome in DominanceOutcome}
+    assert clone(by_outcome) == by_outcome
+    assert clone(set(DominanceOutcome)) == set(DominanceOutcome)
+    assert all(clone(outcome) is outcome for outcome in DominanceOutcome)
 
 
 def test_generalized_compare_length_mismatch():
