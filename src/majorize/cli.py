@@ -254,6 +254,8 @@ def _cmd_verify(args) -> int:
         print(f"certificate OK ({report.checked_steps} steps checked)")
         return 0
     where = "certificate" if report.step_index is None else f"step {report.step_index}"
+    if report.prefix_index is not None:
+        where += f", prefix {report.prefix_index}"
     print(f"certificate INVALID: {report.reason.value} at {where}: {report.detail}")
     return 1
 

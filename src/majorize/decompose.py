@@ -28,11 +28,12 @@ import json
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from itertools import accumulate, repeat
+from operator import add, gt, le
+from typing import Iterable, Optional, Sequence
 
 from .core import (
     Array,
-    DominanceOutcome,
     Increase,
     MajorizeError,
     SortDesc,
@@ -40,8 +41,6 @@ from .core import (
     Transfer,
     apply_eii,
     as_eps,
-    dominates_or_equal,
-    generalized_compare,
     make_array,
     plain_number,
     sort_desc,
@@ -223,17 +222,27 @@ class FailureReason(Enum):
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """The verdict; a failed check also names its reason, step and detail."""
+    """The verdict; a failed check also names its reason, step and detail.
+
+    A failed prefix-sum check also names the first 1-based prefix that broke
+    it, where some prefix did; a chain step that raises no prefix sum has none.
+    """
 
     ok: bool
     checked_steps: int
     reason: Optional[FailureReason] = None
     step_index: Optional[int] = None  # 0-based step, None for certificate-level failures
     detail: str = ""
+    prefix_index: Optional[int] = None
 
 
 def _close(a: Sequence[float], b: Sequence[float], slack: float) -> bool:
     return all(abs(p - q) <= slack for p, q in zip(a, b))
+
+
+def _first_above(sums: Iterable[float], ceiling: Sequence[float]) -> int:
+    """1-based index of the first running sum above its ceiling; called only once one is."""
+    return list(map(gt, sums, ceiling)).index(True) + 1
 
 
 def verify_certificate(cert: Certificate, tol: Optional[float] = None) -> VerificationReport:
@@ -254,8 +263,9 @@ def verify_certificate(cert: Certificate, tol: Optional[float] = None) -> Verifi
     n = len(cert.source)
     replay_slack = n * eps  # exact when eps = 0
 
-    def failed(step_index: Optional[int], checked: int, reason: FailureReason, detail: str):
-        return VerificationReport(False, checked, reason, step_index, detail)
+    def failed(step_index: Optional[int], checked: int, reason: FailureReason, detail: str,
+               prefix_index: Optional[int] = None):
+        return VerificationReport(False, checked, reason, step_index, detail, prefix_index)
 
     # structural mode checks
     if cert.mode is CertificateMode.TRANSFERS:
@@ -273,8 +283,11 @@ def verify_certificate(cert: Certificate, tol: Optional[float] = None) -> Verifi
                     return failed(t, 0, FailureReason.MODE_VIOLATION,
                                   f"sort step {t} does not immediately follow an impact step")
 
-    prev = cert.source
-    prev_total = prev.total  # each intermediate's total is summed once
+    # each recorded state's running sums are taken once, in generalized_compare's order;
+    # a ceiling is those sums plus eps, so ``s <= ceiling`` is generalized_compare's test
+    ceiling = list(map(add, accumulate(cert.target.values), repeat(eps)))
+    prev_sums = list(accumulate(cert.source.values))
+    prev_ceiling = list(map(add, prev_sums, repeat(eps)))
     computed = cert.source
     for t, (step, recorded) in enumerate(zip(cert.steps, cert.intermediates)):
         try:
@@ -282,28 +295,35 @@ def verify_certificate(cert: Certificate, tol: Optional[float] = None) -> Verifi
         except MajorizeError as exc:
             return failed(t, t, FailureReason.REPLAY_MISMATCH,
                           f"step {t} is not applicable: {exc}")
-        if not _close(computed.values, recorded.values, replay_slack):
+        if not (computed.values == recorded.values
+                or _close(computed.values, recorded.values, replay_slack)):
             return failed(t, t, FailureReason.REPLAY_MISMATCH,
                           f"replaying step {t} does not reproduce the recorded intermediate")
-        if generalized_compare(prev, recorded, eps) is not DominanceOutcome.LEFT_STRICTLY_BELOW:
+        sums = list(accumulate(recorded.values))
+        sums_ceiling = list(map(add, sums, repeat(eps)))
+        below = all(map(le, prev_sums, sums_ceiling))
+        if not (below and any(map(gt, sums, prev_ceiling))):
             return failed(t, t, FailureReason.CHAIN_NOT_STRICT,
-                          f"intermediate {t} does not strictly dominate its predecessor")
-        if not dominates_or_equal(generalized_compare(recorded, cert.target, eps)):
+                          f"intermediate {t} does not strictly dominate its predecessor",
+                          None if below else _first_above(prev_sums, sums_ceiling))
+        if not all(map(le, sums, ceiling)):
             return failed(t, t, FailureReason.NOT_SANDWICHED_BY_TARGET,
-                          f"intermediate {t} is not dominated by the target")
+                          f"intermediate {t} is not dominated by the target",
+                          _first_above(sums, ceiling))
         if cert.mode is CertificateMode.DECREASING and not isinstance(step, SortDesc):
-            if not dominates_or_equal(generalized_compare(sort_desc(recorded), cert.target, eps)):
+            ranked = sorted(recorded.values, reverse=True)
+            if not all(map(le, accumulate(ranked), ceiling)):
                 return failed(t, t, FailureReason.SORTED_INTERMEDIATE_NOT_BELOW_TARGET,
-                              f"descending rearrangement of intermediate {t} is not below the target")
+                              f"descending rearrangement of intermediate {t} is not below the target",
+                              _first_above(accumulate(ranked), ceiling))
         if cert.mode is CertificateMode.TRANSFERS:
-            total = recorded.total
-            if abs(total - prev_total) > max(eps, replay_slack):
+            if abs(sums[-1] - prev_sums[-1]) > max(eps, replay_slack):
                 return failed(t, t, FailureReason.MODE_VIOLATION,
                               f"total not conserved at step {t}")
-            prev_total = total
-        prev = recorded
+        prev_sums, prev_ceiling = sums, sums_ceiling
 
-    if not _close(prev.values, cert.target.values, replay_slack):
+    final = cert.final.values
+    if not (final == cert.target.values or _close(final, cert.target.values, replay_slack)):
         return failed(None, len(cert.steps), FailureReason.REPLAY_MISMATCH,
                       "final state does not match the target")
     return VerificationReport(True, len(cert.steps))

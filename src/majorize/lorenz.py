@@ -97,13 +97,15 @@ def convex_inequality_holds(
 
     This is the testable direction of the convex-sum characterization of
     classical majorization; a finite family cannot certify the converse.
+    The sums are ``math.fsum``, correctly rounded on every Python version, so
+    they do not depend on the order of the values.
     """
     _require_same_length(x, y)
     eps = as_eps(tol)
     if family is None:
         family = default_convex_family(x, y)
     for phi in family:
-        if sum(phi(v) for v in x.values) > sum(phi(v) for v in y.values) + eps:
+        if math.fsum(map(phi, x.values)) > math.fsum(map(phi, y.values)) + eps:
             return False
     return True
 

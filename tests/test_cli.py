@@ -325,6 +325,17 @@ def test_verify_tampered_certificate_exits_one(tmp_path, capsys):
     assert "ReplayMismatch" in out
 
 
+def test_verify_names_the_failing_prefix(tmp_path, capsys):
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(json.dumps({
+        "mode": "general", "source": [1, 1, 1], "target": [3, 3, 3],
+        "steps": [{"type": "increase", "i": 2, "a": 5}], "intermediates": [[1, 6, 1]],
+    }))
+    code, out, _ = run(capsys, "verify", "--cert", str(cert_file))
+    assert (code, out) == (1, "certificate INVALID: NotSandwichedByTarget at step 0, prefix 2: "
+                              "intermediate 0 is not dominated by the target\n")
+
+
 def test_verify_malformed_file_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{this is not json")

@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from majorize import (
     EXACT,
     Certificate,
     CertificateMode,
+    DominanceOutcome,
     FailureReason,
     Increase,
     LengthMismatch,
@@ -17,6 +19,7 @@ from majorize import (
     TargetNotDecreasing,
     Transfer,
     TransferExceedsSource,
+    apply_eii,
     decompose_decreasing,
     decompose_general,
     decompose_transfers,
@@ -238,6 +241,18 @@ def test_verify_flags_non_strict_chain():
     report = verify_certificate(cert, EXACT)
     assert not report.ok
     assert report.reason is FailureReason.CHAIN_NOT_STRICT
+    assert report.prefix_index is None  # no prefix sum falls, none rises either
+
+
+def test_verify_names_the_prefix_where_a_state_falls_below_its_predecessor():
+    # the replay slack n*eps = 1.5 lets the recorded state lose mass at position 2
+    cert = Certificate(
+        make_array([1, 1, 1]), make_array([5, 5, 5]),
+        (Increase(3, 0.1),), (make_array([1.2, 0, 2.3]),), CertificateMode.GENERAL,
+    )
+    report = verify_certificate(cert, 0.5)
+    assert (report.reason, report.step_index, report.prefix_index) == (
+        FailureReason.CHAIN_NOT_STRICT, 0, 2)
 
 
 def test_verify_flags_overshoot_past_target():
@@ -248,6 +263,7 @@ def test_verify_flags_overshoot_past_target():
     report = verify_certificate(cert, EXACT)
     assert not report.ok
     assert report.reason is FailureReason.NOT_SANDWICHED_BY_TARGET
+    assert report.prefix_index == 1
 
 
 def test_verify_flags_increase_in_transfers_mode():
@@ -287,6 +303,7 @@ def test_verify_flags_sorted_intermediate_above_target():
     report = verify_certificate(cert, EXACT)
     assert not report.ok
     assert report.reason is FailureReason.SORTED_INTERMEDIATE_NOT_BELOW_TARGET
+    assert report.prefix_index == 1  # ranked (9, 4, 1, 0) against (6, 4, 2, 2)
 
 
 def test_totals_never_decrease_along_chains():
@@ -441,6 +458,147 @@ def test_sweep_emits_the_rescanning_choosers_steps(produce, transfers_only):
             continue
         assert produce(x, y, eps).steps == expected, i
     assert overshoots > 100  # the 1e16 pairs do reach the rounding branch
+
+
+# Reference for ``verify_certificate``: the pairwise verifier that re-sums
+# both arrays in ``generalized_compare`` for each of its prefix-sum checks.
+def _pairwise_verify(cert, eps):
+    """``(ok, checked_steps, reason, step_index, detail)`` as the pairwise verifier reports them."""
+    n = len(cert.source)
+    replay_slack = n * eps
+
+    def close(a, b):
+        return all(abs(p - q) <= replay_slack for p, q in zip(a, b))
+
+    def failed(step_index, checked, reason, detail):
+        return False, checked, reason, step_index, detail
+
+    if cert.mode is CertificateMode.TRANSFERS:
+        for t, step in enumerate(cert.steps):
+            if not isinstance(step, Transfer):
+                return failed(t, 0, FailureReason.MODE_VIOLATION,
+                              f"step {t} is not a transfer in transfers-only mode")
+    if cert.mode is CertificateMode.DECREASING:
+        if not cert.target.is_non_increasing():
+            return failed(None, 0, FailureReason.MODE_VIOLATION,
+                          "decreasing-mode target is not non-increasing")
+        for t, step in enumerate(cert.steps):
+            if isinstance(step, SortDesc):
+                if t == 0 or isinstance(cert.steps[t - 1], SortDesc):
+                    return failed(t, 0, FailureReason.MODE_VIOLATION,
+                                  f"sort step {t} does not immediately follow an impact step")
+    prev = computed = cert.source
+    prev_total = prev.total
+    for t, (step, recorded) in enumerate(zip(cert.steps, cert.intermediates)):
+        try:
+            computed = (sort_desc(computed) if isinstance(step, SortDesc)
+                        else apply_eii(computed, step, eps))
+        except MajorizeError as exc:
+            return failed(t, t, FailureReason.REPLAY_MISMATCH, f"step {t} is not applicable: {exc}")
+        if not close(computed.values, recorded.values):
+            return failed(t, t, FailureReason.REPLAY_MISMATCH,
+                          f"replaying step {t} does not reproduce the recorded intermediate")
+        if generalized_compare(prev, recorded, eps) is not DominanceOutcome.LEFT_STRICTLY_BELOW:
+            return failed(t, t, FailureReason.CHAIN_NOT_STRICT,
+                          f"intermediate {t} does not strictly dominate its predecessor")
+        if not dominates_or_equal(generalized_compare(recorded, cert.target, eps)):
+            return failed(t, t, FailureReason.NOT_SANDWICHED_BY_TARGET,
+                          f"intermediate {t} is not dominated by the target")
+        if cert.mode is CertificateMode.DECREASING and not isinstance(step, SortDesc):
+            if not dominates_or_equal(generalized_compare(sort_desc(recorded), cert.target, eps)):
+                return failed(t, t, FailureReason.SORTED_INTERMEDIATE_NOT_BELOW_TARGET,
+                              f"descending rearrangement of intermediate {t} is not below the target")
+        if cert.mode is CertificateMode.TRANSFERS:
+            total = recorded.total
+            if abs(total - prev_total) > max(eps, replay_slack):
+                return failed(t, t, FailureReason.MODE_VIOLATION, f"total not conserved at step {t}")
+            prev_total = total
+        prev = recorded
+    if not close(prev.values, cert.target.values):
+        return failed(None, len(cert.steps), FailureReason.REPLAY_MISMATCH,
+                      "final state does not match the target")
+    return True, len(cert.steps), None, None, ""
+
+
+def _tampered(cert, rng):
+    """The honest certificate, then one amount +1, one dropped step, one state +1 and one nudged."""
+    variants = [cert]
+    steps, inters = list(cert.steps), list(cert.intermediates)
+    impact = [t for t, step in enumerate(steps) if not isinstance(step, SortDesc)]
+    if not impact:
+        return variants
+
+    def variant(new_steps, new_inters):
+        variants.append(Certificate(cert.source, cert.target, tuple(new_steps),
+                                    tuple(new_inters), cert.mode))
+
+    def shifted(t, delta):
+        vals = list(inters[t].values)
+        p = rng.randrange(len(vals))
+        vals[p] = vals[p] + delta if vals[p] + delta >= 0.0 else vals[p] - delta
+        return inters[:t] + [make_array(vals)] + inters[t + 1:]
+
+    t = rng.choice(impact)
+    step = steps[t]
+    bigger = (Transfer(step.i, step.j, step.a + 1) if isinstance(step, Transfer)
+              else Increase(step.i, step.a + 1))
+    variant(steps[:t] + [bigger] + steps[t + 1:], inters)
+    t = rng.randrange(len(steps))
+    variant(steps[:t] + steps[t + 1:], inters[:t] + inters[t + 1:])
+    variant(steps, shifted(rng.randrange(len(steps)), 1.0))
+    variant(steps, shifted(rng.randrange(len(steps)), rng.choice((1e-10, -1e-10, 1e-13, -1e-13))))
+    return variants
+
+
+def _differential_case(i):
+    """Case i's certificates: integers at eps 0, floats at 1e-12 or 1e-9, or integers times 1e14.
+
+    A decreasing case also shuffles its ranked source, which stays below the
+    target, and relabels the general chain for its pair as decreasing mode.
+    """
+    rng = random.Random(i)
+    produce = (decompose_general, decompose_decreasing, decompose_transfers)[i % 3]
+    kind = (i // 3) % 3
+    n, k = sized(i)
+    integer_mode = kind != 1
+    if produce is decompose_decreasing:
+        x, y = decreasing_pair(7000 + i, n, k, integer_mode=integer_mode)
+        x = make_array(rng.sample(x.values, n))
+    else:
+        x, y = random_dominated_pair(7000 + i, n, k, integer_mode=integer_mode,
+                                     transfers_only=produce is decompose_transfers)
+    if kind == 2:
+        x, y = (make_array(v * 1e14 for v in z.values) for z in (x, y))
+    eps = rng.choice((1e-12, 1e-9)) if kind == 1 else EXACT
+    try:
+        certs = _tampered(produce(x, y, eps), rng)
+    except MajorizeError:
+        certs = []
+    if produce is decompose_decreasing:
+        general = decompose_general(x, y, eps)
+        certs.append(Certificate(x, y, general.steps, general.intermediates,
+                                 CertificateMode.DECREASING))
+    return certs
+
+
+_PREFIX_REASONS = (FailureReason.CHAIN_NOT_STRICT, FailureReason.NOT_SANDWICHED_BY_TARGET,
+                   FailureReason.SORTED_INTERMEDIATE_NOT_BELOW_TARGET)
+
+
+def test_verifier_reports_what_the_pairwise_verifier_reports():
+    verdicts = collections.Counter()
+    for i in range(900):
+        for cert in _differential_case(i):
+            for eps in (0.0, 1e-12, 1e-9, 0.5):
+                report = verify_certificate(cert, eps)
+                got = (report.ok, report.checked_steps, report.reason, report.step_index,
+                       report.detail)
+                assert got == _pairwise_verify(cert, eps), (i, eps)
+                assert report.prefix_index is None or (
+                    report.reason in _PREFIX_REASONS and 1 <= report.prefix_index <= len(cert.source))
+                verdicts[report.reason] += 1
+    assert sum(verdicts.values()) > 10000
+    assert all(verdicts[reason] > 50 for reason in (None, *FailureReason)), verdicts
 
 
 @pytest.mark.parametrize("mutate", [

@@ -147,6 +147,22 @@ def test_default_family_handles_all_zero_arrays():
     assert convex_inequality_holds(make_array([0, 0]), make_array([0, 0]), fam)
 
 
+def test_convex_sums_do_not_depend_on_the_order_of_the_values():
+    # plain sum() left a reversal 1 ulp above the original on 3.10 and 3.11
+    x = make_array([0.5441770474293208, 0.9493954730932436, 0.9948195629497427,
+                    0.7230120812374659, 0.39353182020537136, 0.43066964029126864])
+    y = make_array(reversed(x.values))
+    assert convex_inequality_holds(x, y, tol=EXACT)
+    assert convex_inequality_holds(y, x, tol=EXACT)
+
+
+@given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=12), st.randoms())
+def test_any_permutation_satisfies_every_convex_inequality(values, rnd):
+    shuffled = list(values)
+    rnd.shuffle(shuffled)
+    assert convex_inequality_holds(make_array(values), make_array(shuffled), tol=EXACT)
+
+
 def test_majorized_pairs_satisfy_convex_inequalities():
     for seed in range(300):
         x, y = classical_pair(seed, (seed % 9) + 1, (seed % 5) + 1)
