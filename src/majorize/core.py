@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
+from operator import ge
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 
@@ -149,7 +150,7 @@ class Array:
     def is_non_increasing(self) -> bool:
         """Exact check, without tolerance, shared by the decreasing-mode producer and verifier."""
         v = self.values
-        return all(v[k] >= v[k + 1] for k in range(len(v) - 1))
+        return all(map(ge, v, v[1:]))
 
 
 def make_array(values: Iterable[float]) -> Array:
@@ -176,7 +177,10 @@ def plain_number(v: float) -> Union[int, float]:
 # ---------------------------------------------------------------------------
 
 def _check_index(i, name: str = "i") -> int:
-    ii = int(i)
+    try:
+        ii = int(i)
+    except (OverflowError, ValueError):  # inf or nan
+        raise IndexOutOfBounds(f"{name} must be an integer, got {i!r}") from None
     if ii != i:
         raise IndexOutOfBounds(f"{name} must be an integer, got {i!r}")
     if ii < 1:
@@ -372,33 +376,35 @@ def apply_eii(x: Array, step: Step, tol: Optional[float] = None) -> Array:
     """
     if isinstance(step, SortDesc):
         raise SortStepNotEii("SortDesc is not an elementary impact step; apply sort_desc")
-    n = len(x)
-    if isinstance(step, Transfer):
-        if step.j > n:
-            raise IndexOutOfBounds(f"transfer touches position {step.j} of a length-{n} array")
-        src = x.values[step.j - 1]
-        if step.a > src + as_eps(tol):
-            raise TransferExceedsSource(step.j, src, step.a)
-    elif isinstance(step, Increase):
-        if step.i > n:
-            raise IndexOutOfBounds(f"increase touches position {step.i} of a length-{n} array")
-    else:
-        raise TypeError(f"not a step: {step!r}")
     vals = list(x.values)
-    _apply_inplace(vals, step)
+    _apply_step(vals, step, as_eps(tol))
     return Array(tuple(vals))
 
 
-def _apply_inplace(vals: list[float], step: Union[Transfer, Increase]) -> None:
-    """Apply an already validated transfer or increase to ``vals``.
+def _apply_step(vals: list[float], step: Step, eps: float) -> None:
+    """Check that ``step`` fits ``vals`` and apply it in place (producer, verifier, ``apply_eii``).
 
-    A transfer's source is clamped at zero, so a shortfall within tolerance
-    never leaves a negative component.
+    A transfer's source is clamped at zero, so a shortfall within eps never
+    leaves a negative component.  The result is not validated: it may overflow.
     """
-    vals[step.i - 1] += step.a
+    n = len(vals)
     if isinstance(step, Transfer):
-        rest = vals[step.j - 1] - step.a
+        if step.j > n:
+            raise IndexOutOfBounds(f"transfer touches position {step.j} of a length-{n} array")
+        src = vals[step.j - 1]
+        if step.a > src + eps:
+            raise TransferExceedsSource(step.j, src, step.a)
+        vals[step.i - 1] += step.a
+        rest = src - step.a
         vals[step.j - 1] = rest if rest > 0.0 else 0.0
+    elif isinstance(step, Increase):
+        if step.i > n:
+            raise IndexOutOfBounds(f"increase touches position {step.i} of a length-{n} array")
+        vals[step.i - 1] += step.a
+    elif isinstance(step, SortDesc):
+        vals.sort(reverse=True)
+    else:
+        raise TypeError(f"not a step: {step!r}")
 
 
 # ---------------------------------------------------------------------------

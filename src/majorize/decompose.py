@@ -44,7 +44,7 @@ from .core import (
     make_array,
     plain_number,
     sort_desc,
-    _apply_inplace,
+    _apply_step,
     _require_same_length,
 )
 
@@ -288,15 +288,15 @@ def verify_certificate(cert: Certificate, tol: Optional[float] = None) -> Verifi
     ceiling = list(map(add, accumulate(cert.target.values), repeat(eps)))
     prev_sums = list(accumulate(cert.source.values))
     prev_ceiling = list(map(add, prev_sums, repeat(eps)))
-    computed = cert.source
+    computed = list(cert.source.values)  # the replay's working list
     for t, (step, recorded) in enumerate(zip(cert.steps, cert.intermediates)):
         try:
-            computed = _replay_step(computed, step, eps)
+            _apply_step(computed, step, eps)
         except MajorizeError as exc:
             return failed(t, t, FailureReason.REPLAY_MISMATCH,
                           f"step {t} is not applicable: {exc}")
-        if not (computed.values == recorded.values
-                or _close(computed.values, recorded.values, replay_slack)):
+        if not (tuple(computed) == recorded.values
+                or _close(computed, recorded.values, replay_slack)):
             return failed(t, t, FailureReason.REPLAY_MISMATCH,
                           f"replaying step {t} does not reproduce the recorded intermediate")
         sums = list(accumulate(recorded.values))
@@ -342,15 +342,11 @@ def replay(source: Array, steps: Sequence[Step], tol: Optional[float] = None) ->
     cur = source
     for t, step in enumerate(steps):
         try:
-            cur = _replay_step(cur, step, tol)
+            cur = sort_desc(cur) if isinstance(step, SortDesc) else apply_eii(cur, step, tol)
         except MajorizeError as exc:
             exc.step_index = t
             raise
     return cur
-
-
-def _replay_step(x: Array, step: Step, tol: Optional[float]) -> Array:
-    return sort_desc(x) if isinstance(step, SortDesc) else apply_eii(x, step, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +466,7 @@ def _decompose(x: Array, y: Array, tol: Optional[float], mode: CertificateMode) 
             step = Increase(i + 1, d)
         else:
             return Certificate(x, y, tuple(steps), tuple(inters), mode)
-        _apply_inplace(cur, step)
+        _apply_step(cur, step, eps)
         if cur[i] - yv[i] > surplus_eps:
             j = i  # rounding lifted the filled position over its target
         steps.append(step)

@@ -336,6 +336,41 @@ def test_verify_names_the_failing_prefix(tmp_path, capsys):
                               "intermediate 0 is not dominated by the target\n")
 
 
+_NOT_APPLICABLE = "certificate INVALID: ReplayMismatch at step 0: step 0 is not applicable: "
+_NOT_REPRODUCED = ("certificate INVALID: ReplayMismatch at step 0: "
+                   "replaying step 0 does not reproduce the recorded intermediate")
+
+
+@pytest.mark.parametrize("source,step,line", [
+    ([1, 1], {"type": "transfer", "i": 1, "j": 3, "a": 1},
+     _NOT_APPLICABLE + "transfer touches position 3 of a length-2 array"),
+    ([1, 1], {"type": "increase", "i": 3, "a": 1},
+     _NOT_APPLICABLE + "increase touches position 3 of a length-2 array"),
+    ([1, 1], {"type": "transfer", "i": 1, "j": 2, "a": 5},
+     _NOT_APPLICABLE + "cannot move 5.0 out of position 2, which holds 1.0"),
+    # the replay overflows; a recorded state is finite, so it never matches
+    ([1.7e308, 1], {"type": "increase", "i": 1, "a": 1.7e308}, _NOT_REPRODUCED),
+    ([1e308, 0], {"type": "increase", "i": 2, "a": 1e308}, _NOT_REPRODUCED),
+], ids=["transfer-past-n", "increase-past-n", "transfer-exceeds-source", "increase-to-inf",
+        "sum-past-largest-float"])
+def test_verify_reports_a_step_the_replay_rejects(tmp_path, capsys, source, step, line):
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(json.dumps({"mode": "general", "source": source, "target": source,
+                                     "steps": [step], "intermediates": [source]}))
+    code, out, _ = run(capsys, "verify", "--cert", str(cert_file))
+    assert (code, out) == (1, line + "\n")
+
+
+def test_verify_non_finite_step_index_exits_two(tmp_path, capsys):
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text('{"mode": "general", "source": [1, 1], "target": [2, 1],'
+                         ' "steps": [{"type": "increase", "i": 1e999, "a": 1}],'
+                         ' "intermediates": [[2, 1]]}')
+    code, out, err = run(capsys, "verify", "--cert", str(cert_file))
+    assert (code, out) == (2, "")
+    assert "bad step" in err and "i must be an integer, got inf" in err
+
+
 def test_verify_malformed_file_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{this is not json")

@@ -292,6 +292,12 @@ def test_apply_eii_error_paths():
         Transfer(2, 2, 1)
     with pytest.raises(IndexOutOfBounds):
         Transfer(0, 2, 1)
+    with pytest.raises(IndexOutOfBounds, match="must be an integer"):
+        Transfer(math.inf, 2, 1)
+    with pytest.raises(IndexOutOfBounds, match="must be an integer"):
+        Increase(math.inf, 1)
+    with pytest.raises(IndexOutOfBounds, match="must be an integer"):
+        Transfer(1, math.nan, 1)
 
 
 def test_transfer_within_tolerance_clamps_to_zero():

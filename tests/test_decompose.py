@@ -5,6 +5,7 @@ import pytest
 
 from majorize import (
     EXACT,
+    Array,
     Certificate,
     CertificateMode,
     DominanceOutcome,
@@ -31,7 +32,7 @@ from majorize import (
     sort_desc,
     verify_certificate,
 )
-from majorize.core import _apply_inplace
+from majorize.core import _apply_step
 from genpairs import decreasing_pair, sized
 
 CHAIN_SOURCE = make_array([4, 4, 4, 4])
@@ -306,6 +307,26 @@ def test_verify_flags_sorted_intermediate_above_target():
     assert report.prefix_index == 1  # ranked (9, 4, 1, 0) against (6, 4, 2, 2)
 
 
+@pytest.mark.parametrize("produce,pair", [
+    (decompose_general, lambda: random_dominated_pair(160, 160, 320)),
+    (decompose_decreasing, lambda: decreasing_pair(160, 160, 320)),
+    (decompose_transfers, lambda: random_dominated_pair(160, 160, 320, transfers_only=True)),
+], ids=["general", "decreasing", "transfers"])
+def test_verifier_builds_no_array(monkeypatch, produce, pair):
+    cert = produce(*pair(), EXACT)
+    built = []
+    post_init = Array.__post_init__
+
+    def counted(self):
+        built.append(self.values)
+        post_init(self)
+
+    monkeypatch.setattr(Array, "__post_init__", counted)
+    report = verify_certificate(cert, EXACT)
+    assert report.ok and report.checked_steps == len(cert.steps) > 100
+    assert not built
+
+
 def test_totals_never_decrease_along_chains():
     for seed in range(200):
         x, y = random_dominated_pair(seed + 5000, (seed % 9) + 1, (seed % 6) + 1)
@@ -413,7 +434,7 @@ def _rescanning_chain(x, y, eps, transfers_only):
         if transfers_only and not isinstance(step, Transfer):
             raise MajorizeError(f"transfers mode would need an increase of {step.a!r} "
                                 f"at position {step.i}")
-        _apply_inplace(cur, step)
+        _apply_step(cur, step, eps)
         steps.append(step)
         if len(steps) > 8 * len(cur) ** 2 + 64:
             raise MajorizeError("decomposition did not converge")
