@@ -112,12 +112,8 @@ def parse_timeline_csv(text: str) -> dict[str, Array]:
         elif len(row) - 1 != width:
             raise MajorizeError(f"row {num}: {len(row) - 1} values, expected {width}")
         try:
-            values = [float(c) for c in row[1:]]
-        except ValueError as exc:
-            raise MajorizeError(f"row {num}: {exc}") from exc
-        try:
-            table[eid] = make_array(values)
-        except MajorizeError as exc:
+            table[eid] = make_array([float(c) for c in row[1:]])
+        except ValueError as exc:  # float()'s error, or make_array's: MajorizeError is a ValueError
             raise MajorizeError(f"row {num}: {exc}") from exc
     return table
 

@@ -169,7 +169,7 @@ def plain_number(v: float) -> Union[int, float]:
     ``str()`` of the result is the exact literal, and ``json`` writes the same
     digits, so integer certificates and tables round-trip byte-identically.
     """
-    return int(v) if float(v).is_integer() else float(v)
+    return int(v) if v.is_integer() else v
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +186,13 @@ def _check_index(i, name: str = "i") -> int:
     if ii < 1:
         raise IndexOutOfBounds(f"{name} must be >= 1 (indices are 1-based), got {i!r}")
     return ii
+
+
+def _check_amount(a, kind: str) -> float:
+    amount = float(a)
+    if not (amount > 0.0) or math.isinf(amount):
+        raise NonPositiveAmount(f"{kind} amount must be > 0, got {a!r}")
+    return amount
 
 
 @dataclass(frozen=True)
@@ -207,10 +214,7 @@ class Transfer:
             raise IndexOutOfBounds(
                 f"transfer source index j must exceed destination i, got i={self.i}, j={self.j}"
             )
-        a = float(self.a)
-        if not (a > 0.0) or math.isinf(a):
-            raise NonPositiveAmount(f"transfer amount must be > 0, got {self.a!r}")
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a", _check_amount(self.a, "transfer"))
 
 
 @dataclass(frozen=True)
@@ -222,10 +226,7 @@ class Increase:
 
     def __post_init__(self):
         object.__setattr__(self, "i", _check_index(self.i, "i"))
-        a = float(self.a)
-        if not (a > 0.0) or math.isinf(a):
-            raise NonPositiveAmount(f"increase amount must be > 0, got {self.a!r}")
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a", _check_amount(self.a, "increase"))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ import json
 import random
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, count, repeat
 from operator import add, gt, le
 from typing import Iterable, Optional, Sequence
 
@@ -240,9 +240,9 @@ def _close(a: Sequence[float], b: Sequence[float], slack: float) -> bool:
     return all(abs(p - q) <= slack for p, q in zip(a, b))
 
 
-def _first_above(sums: Iterable[float], ceiling: Sequence[float]) -> int:
-    """1-based index of the first running sum above its ceiling; called only once one is."""
-    return list(map(gt, sums, ceiling)).index(True) + 1
+def _first_above(sums: Iterable[float], ceiling: Iterable[float]) -> Optional[int]:
+    """1-based index of the first running sum above its ceiling, if any (producer and verifier)."""
+    return next(compress(count(1), map(gt, sums, ceiling)), None)
 
 
 def verify_certificate(cert: Certificate, tol: Optional[float] = None) -> VerificationReport:
@@ -317,7 +317,7 @@ def verify_certificate(cert: Certificate, tol: Optional[float] = None) -> Verifi
                               f"descending rearrangement of intermediate {t} is not below the target",
                               _first_above(accumulate(ranked), ceiling))
         if cert.mode is CertificateMode.TRANSFERS:
-            if abs(sums[-1] - prev_sums[-1]) > max(eps, replay_slack):
+            if abs(sums[-1] - prev_sums[-1]) > replay_slack:
                 return failed(t, t, FailureReason.MODE_VIOLATION,
                               f"total not conserved at step {t}")
         prev_sums, prev_ceiling = sums, sums_ceiling
@@ -352,17 +352,6 @@ def replay(source: Array, steps: Sequence[Step], tol: Optional[float] = None) ->
 # ---------------------------------------------------------------------------
 # Decomposition
 # ---------------------------------------------------------------------------
-
-def _dominance_witness(xvals: Sequence[float], yvals: Sequence[float], eps: float) -> Optional[int]:
-    """First 1-based prefix length where X's prefix sum exceeds Y's, if any."""
-    sx = sy = 0.0
-    for k, (xv, yv) in enumerate(zip(xvals, yvals), start=1):
-        sx += xv
-        sy += yv
-        if sx > sy + eps:
-            return k
-    return None
-
 
 def decompose_general(x: Array, y: Array, tol: Optional[float] = None) -> Certificate:
     """Produce a chain of impact steps from ``x`` to ``y`` (general mode).
@@ -431,7 +420,8 @@ def _decompose(x: Array, y: Array, tol: Optional[float], mode: CertificateMode) 
         raise TargetNotDecreasing("target must be non-increasing for decreasing mode")
     if mode is CertificateMode.TRANSFERS and abs(x.total - y.total) > eps:
         raise SumsNotEqual(x.total, y.total)
-    witness = _dominance_witness(x.values, y.values, eps)
+    ceiling = list(map(add, accumulate(y.values), repeat(eps)))  # as in verify_certificate
+    witness = _first_above(accumulate(x.values), ceiling)
     if witness is not None:
         raise NotDominated(witness)
 
@@ -473,7 +463,8 @@ def _decompose(x: Array, y: Array, tol: Optional[float], mode: CertificateMode) 
         inters.append(Array(tuple(cur)))
         if mode is CertificateMode.DECREASING and not inters[-1].is_non_increasing():
             ranked = sorted(cur, reverse=True)
-            witness = _dominance_witness(ranked, yv, eps)
+            ranked_sums = list(accumulate(ranked))
+            witness = _first_above(ranked_sums, ceiling)
             if witness is not None:
                 raise NotDominated(
                     witness,
@@ -481,7 +472,7 @@ def _decompose(x: Array, y: Array, tol: Optional[float], mode: CertificateMode) 
                     "decreasing-mode chain exists for this source (sort the source "
                     "first or use general mode)",
                 )
-            if _dominance_witness(ranked, cur, eps) is not None:  # else the sort is not strict
+            if _first_above(ranked_sums, map(add, accumulate(cur), repeat(eps))):  # else not strict
                 cur = ranked
                 steps.append(SortDesc())
                 inters.append(Array(tuple(cur)))

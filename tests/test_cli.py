@@ -685,6 +685,7 @@ LONG_CELL = "1" * 131_073  # one past csv's default field size limit
     ("a,1,2\na,3,4\n", "duplicate id"),
     ("a,1,-2\n", "row 1"),
     ("a,1,2\nb,1,zebra\n", "row 2"),
+    ("id,p1,p2\na,1,2,3\n", "row 2: 3 values but 2 period labels"),
     ("", "empty"),
     pytest.param(f"a,1,2\nb,1,{LONG_CELL}\n", "row 2: field larger than field limit", id="long-cell"),
 ])
@@ -738,6 +739,16 @@ def test_gen_deterministic_output(capsys):
     assert code == 0
     assert first == second
     assert len(first.strip().splitlines()) == 5
+
+
+def test_gen_out_writes_what_stdout_would_show(tmp_path, capsys):
+    flags = ["gen", "--seed", "1", "--n", "4", "--k", "3", "--count", "5"]
+    code, printed, _ = run(capsys, *flags)
+    assert code == 0
+    path = tmp_path / "pairs.txt"
+    code, out, _ = run(capsys, *flags, "--out", str(path))
+    assert code == 0 and out == ""
+    assert path.read_text(encoding="utf-8") == printed
 
 
 def test_gen_zero_moves_emits_equal_pair(capsys):

@@ -34,7 +34,7 @@ from majorize import (
     sort_asc,
     sort_desc,
 )
-from majorize.core import OUTCOME
+from majorize.core import OUTCOME, _apply_step
 
 EQ = DominanceOutcome.EQUAL
 LSB = DominanceOutcome.LEFT_STRICTLY_BELOW
@@ -284,10 +284,12 @@ def test_apply_eii_error_paths():
         apply_eii(x, Increase(3, 1), EXACT)
     with pytest.raises(SortStepNotEii):
         apply_eii(x, SortDesc(), EXACT)
-    with pytest.raises(NonPositiveAmount):
+    with pytest.raises(NonPositiveAmount, match=r"^transfer amount must be > 0, got 0$"):
         Transfer(1, 2, 0)
-    with pytest.raises(NonPositiveAmount):
+    with pytest.raises(NonPositiveAmount, match=r"^increase amount must be > 0, got -1$"):
         Increase(1, -1)
+    with pytest.raises(NonPositiveAmount, match=r"^increase amount must be > 0, got inf$"):
+        Increase(1, math.inf)
     with pytest.raises(IndexOutOfBounds):
         Transfer(2, 2, 1)
     with pytest.raises(IndexOutOfBounds):
@@ -298,6 +300,17 @@ def test_apply_eii_error_paths():
         Increase(math.inf, 1)
     with pytest.raises(IndexOutOfBounds, match="must be an integer"):
         Transfer(1, math.nan, 1)
+    with pytest.raises(IndexOutOfBounds, match="i must be an integer, got 1.5"):
+        Transfer(1.5, 2, 1)
+    with pytest.raises(IndexOutOfBounds, match="i must be an integer, got 2.5"):
+        Increase(2.5, 1)
+
+
+def test_apply_step_rejects_a_non_step():
+    vals = [1.0, 2.0]
+    with pytest.raises(TypeError, match="not a step"):
+        _apply_step(vals, "transfer", EXACT)
+    assert vals == [1.0, 2.0]
 
 
 def test_transfer_within_tolerance_clamps_to_zero():

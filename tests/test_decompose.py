@@ -33,6 +33,7 @@ from majorize import (
     verify_certificate,
 )
 from majorize.core import _apply_step
+from majorize.decompose import _first_above
 from genpairs import decreasing_pair, sized
 
 CHAIN_SOURCE = make_array([4, 4, 4, 4])
@@ -84,6 +85,16 @@ def test_general_rejects_non_dominated_with_witness():
         decompose_general(make_array([1]), make_array([1, 2]), EXACT)
 
 
+@pytest.mark.parametrize("sums,ceiling,expected", [
+    ([1, 3], [2, 2], 2),
+    ([3, 1], [2, 2], 1),
+    ([2, 4], [2, 4], None),
+    ([], [], None),
+], ids=["second", "first", "equal", "empty"])
+def test_first_above_names_the_first_prefix_over_its_ceiling(sums, ceiling, expected):
+    assert _first_above(iter(sums), iter(ceiling)) == expected
+
+
 def test_general_handles_any_component_order():
     cert = decompose_general(make_array([0, 5, 0, 9]), make_array([6, 4, 2, 2]), EXACT)
     assert verify_certificate(cert, EXACT).ok
@@ -129,6 +140,7 @@ def test_decreasing_unrankable_source_is_refused():
     with pytest.raises(NotDominated) as exc:
         decompose_decreasing(make_array([0, 5, 0, 9]), make_array([6, 4, 2, 2]), EXACT)
     assert "decreasing-mode chain" in str(exc.value)
+    assert exc.value.witness_index == 1  # the first step gives (1,4,0,9), ranked (9,4,1,0)
 
 
 def test_decreasing_chain_properties_on_ranked_pairs():
@@ -636,6 +648,13 @@ def test_malformed_certificates_are_rejected(mutate):
     mutate(data)
     with pytest.raises(MalformedCertificate):
         Certificate.from_dict(data)
+
+
+def test_to_dict_rejects_a_non_step():
+    cert = Certificate(CHAIN_SOURCE, CHAIN_TARGET, ("transfer",), (CHAIN_TARGET,),
+                       CertificateMode.GENERAL)
+    with pytest.raises(TypeError, match="not a step"):
+        cert.to_dict()
 
 
 def test_from_json_rejects_non_objects():
