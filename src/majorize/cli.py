@@ -132,7 +132,7 @@ def _is_number(cell: str) -> bool:
 
 def parse_array_literal(token: str) -> Array:
     try:
-        return make_array(float(part) for part in token.split(","))
+        return make_array([float(part) for part in token.split(",")])  # a list: see Array
     except MajorizeError:
         raise
     except ValueError as exc:
@@ -311,7 +311,15 @@ def _cmd_gen(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``majorize`` parser, built on the first call and shared after it.
+
+    ``main`` parses every argv with this one parser, so in-process callers
+    pay for building it once.  Parsing leaves no state in it; help and
+    usage widths follow ``COLUMNS`` when printed.  ``build_parser.__wrapped__()``
+    builds a separate parser.
+    """
     parser = argparse.ArgumentParser(
         prog="majorize",
         description="Dominance checks, step certificates, and Lorenz/Gini data "

@@ -116,7 +116,12 @@ class Array:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        vals = tuple(map(float, self.values))
+        # From a list, tuple() allocates the exact size; from a bare iterator
+        # it allocates 10 slots and resizes.  CPython keeps freed resized
+        # tuples on its per-size free lists (up to 2000 each) until a full
+        # collection, so a long-lived process running many short commands
+        # grew by about 4 MB (Python 3.11, 13,000 commands with n <= 64).
+        vals = tuple([*map(float, self.values)])
         if not vals:
             raise EmptyArray("an array needs at least one component")
         # sum() is NaN or inf if any value is; below _SAFE_TOTAL no summation order overflows

@@ -147,9 +147,10 @@ class Certificate:
             mode = CertificateMode(data["mode"])
             source = make_array(_numbers(data["source"], "source"))
             target = make_array(_numbers(data["target"], "target"))
-            steps = tuple(_step_from_dict(s) for s in _array(data["steps"], "steps"))
-            intermediates = tuple(make_array(_numbers(z, "intermediate"))
-                                  for z in _array(data["intermediates"], "intermediates"))
+            # built from lists, as in Array, so that no tuple is resized
+            steps = tuple([_step_from_dict(s) for s in _array(data["steps"], "steps")])
+            intermediates = tuple([make_array(_numbers(z, "intermediate"))
+                                   for z in _array(data["intermediates"], "intermediates")])
             return cls(source, target, steps, intermediates, mode)
         except MalformedCertificate:
             raise
@@ -379,13 +380,15 @@ def decompose_decreasing(x: Array, y: Array, tol: Optional[float] = None) -> Cer
     rearrangement of every intermediate is checked to stay below the target,
     which holds when the source itself is non-increasing.
 
-    For sources that are NOT non-increasing such a chain may not exist at
-    all: re-sorting an intermediate can push an early prefix sum above the
-    target's (e.g. source (0,5,0,9) under target (6,4,2,2), where any single
-    impact step leaves a zero in place and the three largest components then
-    sum past the target's third prefix).  In that case NotDominated is raised
-    on the sorted intermediate, with a message saying so; ``decompose_general``
-    handles every dominated pair regardless of order.
+    For sources that are NOT non-increasing, re-sorting an intermediate can
+    push an early prefix sum above the target's (e.g. source (0,5,0,9) under
+    target (6,4,2,2), where any single impact step leaves a zero in place and
+    the three largest components then sum past the target's third prefix).
+    When the sweep's step does so, NotDominated is raised on the sorted
+    intermediate, even where another chain exists: source (1,0,3) under
+    target (2,1,1) is refused, yet ``Transfer(2, 3, 1)`` then ``SortDesc()``
+    verifies.  ``decompose_general`` handles every dominated pair regardless
+    of order.
 
     Raises:
         LengthMismatch, NotDominated: as in ``decompose_general``.
@@ -468,9 +471,9 @@ def _decompose(x: Array, y: Array, tol: Optional[float], mode: CertificateMode) 
             if witness is not None:
                 raise NotDominated(
                     witness,
-                    "re-sorting the intermediate leaves the dominance cone; no "
-                    "decreasing-mode chain exists for this source (sort the source "
-                    "first or use general mode)",
+                    "re-sorting the intermediate leaves the dominance cone; found no "
+                    "decreasing-mode chain for this source (sort the source first or "
+                    "use general mode)",
                 )
             if _first_above(ranked_sums, map(add, accumulate(cur), repeat(eps))):  # else not strict
                 cur = ranked

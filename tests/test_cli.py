@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import math
 import random
@@ -17,7 +20,7 @@ from majorize import (
     make_array,
     random_dominated_pair,
 )
-from majorize.cli import main, parse_timeline_csv
+from majorize.cli import build_parser, main, parse_timeline_csv
 from majorize.core import OUTCOME
 
 
@@ -803,3 +806,106 @@ def test_timeline_parse_without_header():
     table = parse_timeline_csv("b,0.1,2.5\na,1.0,0.3\n")
     assert table == {"b": make_array([0.1, 2.5]), "a": make_array([1.0, 0.3])}
     assert list(table) == ["b", "a"]
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+def test_main_builds_no_parser_after_the_first_call(tmp_path, capsys, monkeypatch):
+    cert = tmp_path / "cert.json"
+    table = tmp_path / "table.csv"
+    table.write_text("a,2,2\nb,3,1\n", encoding="utf-8")
+    assert main(["check", "1,3", "2,2"]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    calls = [
+        ["check", "1,3", "2,2", "--json"],
+        ["check", "3,1", "2,2", "--mode", "classical"],
+        ["decompose", "4,4,4,4", "14,1,1,1", "--mode", "decreasing", "--out", str(cert)],
+        ["verify", "--cert", str(cert)],
+        ["verify", "--cert", str(cert), "--eps", "0"],
+        ["decompose", "3,2,1", "4,1,1", "--mode", "transfers"],
+        ["decompose", "3,1", "2,2"],
+        ["lorenz", "3,1"],
+        ["lorenz", "1,2,3", "--format", "json"],
+        ["batch", "--input", str(table)],
+        ["batch", "--input", str(table), "--mode", "classical"],
+        ["check", "a", "b", "--input", str(table)],
+        ["gen", "--seed", "1", "--n", "4", "--k", "3"],
+        ["gen", "--seed", "2", "--n", "3", "--count", "2", "--float"],
+        ["verify"],
+        ["check", "1,2", "1,2", "--eps", "x"],
+        ["frobnicate"],
+        ["lorenz", "0,0"],
+        ["check", "1,2", "1,2,3"],
+        ["decompose", "1,5,2", "3,4,3", "--mode", "general", "--eps", "1e-9"],
+    ]
+    for argv in calls:
+        main(argv)
+    capsys.readouterr()
+    assert built == []
+
+
+def test_decompose_without_out_leaves_an_earlier_out_file_alone(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    code, _, _ = run(capsys, "decompose", "1,5,2", "3,4,3", "--out", str(cert))
+    assert code == 0
+    written, stamp = cert.read_bytes(), cert.stat().st_mtime_ns
+    code, out, _ = run(capsys, "decompose", "4,4,4,4", "14,1,1,1", "--mode", "decreasing")
+    assert code == 0 and out.startswith("(4,4,4,4) ≺ ")
+    assert cert.read_bytes() == written
+    assert cert.stat().st_mtime_ns == stamp
+
+
+def test_check_after_check_json_prints_the_plain_verdict(capsys):
+    code, out, _ = run(capsys, "check", "1,3", "2,2", "--json")
+    assert code == 0 and json.loads(out)["verdict"] == "LeftStrictlyBelow"
+    assert run(capsys, "check", "1,3", "2,2") == (0, "LeftStrictlyBelow\n", "")
+
+
+@pytest.mark.parametrize("bad,good", [
+    (["verify"], ["check", "3,1", "2,2"]),
+    (["check", "3,1", "2,2", "--mode", "bogus"], ["check", "3,1", "2,2"]),
+    (["check", "1,1", "1,1", "--eps", "x"], ["check", "1,1", "1,1.0000000001"]),
+    (["decompose", "1,1", "--mode", "transfers"], ["decompose", "3,2,1", "4,1,1"]),
+    (["gen", "--seed", "1"], ["gen", "--seed", "1", "--n", "3"]),
+    (["frobnicate"], ["lorenz", "3,1"]),
+])
+def test_a_usage_error_leaves_the_next_command_unchanged(capsys, bad, good):
+    alone = run(capsys, *good)
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(bad)
+    assert code == 2
+    assert stderr.getvalue().startswith("usage: majorize")
+    assert capsys.readouterr() == ("", "")
+    assert run(capsys, *good) == alone
+
+
+def _help(parse, argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        parse(argv)
+    assert exc.value.code == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_matches_a_freshly_built_parser_at_any_width(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "300")
+    assert main(["check", "1,3", "2,2"]) == 0
+    capsys.readouterr()
+    texts = set()
+    for columns in ("40", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        fresh = _help(build_parser.__wrapped__().parse_args, argv)
+        assert run(capsys, *argv) == (0, fresh, "")
+        texts.add(fresh)
+    assert len(texts) == 2

@@ -136,11 +136,32 @@ def test_decreasing_unrankable_source_is_refused():
     # any single impact step from (0,5,0,9) leaves a zero in place, so the
     # three largest components of the result sum past the target's third
     # prefix; no re-sorting chain below (6,4,2,2) exists and the producer
-    # must say so instead of emitting an unverifiable certificate
+    # must refuse instead of emitting an unverifiable certificate
     with pytest.raises(NotDominated) as exc:
         decompose_decreasing(make_array([0, 5, 0, 9]), make_array([6, 4, 2, 2]), EXACT)
     assert "decreasing-mode chain" in str(exc.value)
     assert exc.value.witness_index == 1  # the first step gives (1,4,0,9), ranked (9,4,1,0)
+
+
+UNRANKED_SOURCE = make_array([1, 0, 3])
+RANKED_TARGET = make_array([2, 1, 1])
+
+
+def test_decreasing_chain_exists_for_a_refused_unranked_source():
+    # Transfer(2, 3, 1) gives (1,1,2), ranked (2,1,1), inside the cone; the
+    # sweep moves 1 to position 1 instead, and (2,0,2) ranked (2,2,0) is not
+    cert = Certificate(
+        UNRANKED_SOURCE, RANKED_TARGET, (Transfer(2, 3, 1), SortDesc()),
+        (make_array([1, 1, 2]), RANKED_TARGET), CertificateMode.DECREASING,
+    )
+    assert verify_certificate(cert, EXACT).ok
+
+
+@pytest.mark.xfail(strict=True, raises=NotDominated,
+                   reason="the sweep's step leaves the cone and no other step is tried")
+def test_decreasing_certifies_an_unranked_source_that_has_a_chain():
+    cert = decompose_decreasing(UNRANKED_SOURCE, RANKED_TARGET, EXACT)
+    assert verify_certificate(cert, EXACT).ok
 
 
 def test_decreasing_chain_properties_on_ranked_pairs():
