@@ -47,6 +47,7 @@ from .decompose import (
     decompose_general,
     decompose_transfers,
     random_dominated_pair,
+    state_texts,
     verify_certificate,
 )
 from .lorenz import ZeroTotal, classical_majorizes, gini, lorenz_points
@@ -228,11 +229,8 @@ def _cmd_decompose(args) -> int:
     if args.out:
         _write_file(args.out, cert.to_json() + "\n")
     if cert.steps:
-        # consecutive states share all but one or two values (a sort only reorders
-        # them), so memoising formats about n + 2 * steps numbers, not n * steps
-        text = functools.cache(lambda v: str(plain_number(v)))
-        states = (cert.source, *cert.intermediates)
-        print(" ≺ ".join("(" + ",".join(map(text, z)) + ")" for z in states))
+        states = state_texts((cert.source, *cert.intermediates))
+        print(" ≺ ".join("(" + ",".join(z) + ")" for z in states))
     else:
         print("already equal")
     return 0

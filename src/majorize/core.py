@@ -165,7 +165,7 @@ def make_array(values: Iterable[float]) -> Array:
 
 def prefix_sums(x: Array) -> tuple[float, ...]:
     """Running sums; entry ``k-1`` is the sum of the first k components."""
-    return tuple(accumulate(x.values))
+    return tuple([*accumulate(x.values)])  # a list first, as in Array: no resized tuple
 
 
 def plain_number(v: float) -> Union[int, float]:

@@ -29,8 +29,8 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, compress, count, repeat
-from operator import add, gt, le
-from typing import Iterable, Optional, Sequence
+from operator import add, gt, le, ne
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
     Array,
@@ -130,16 +130,21 @@ class Certificate:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode.value,
-            "source": [plain_number(v) for v in self.source],
-            "target": [plain_number(v) for v in self.target],
-            "steps": [_step_to_dict(s) for s in self.steps],
-            "intermediates": [[plain_number(v) for v in z] for z in self.intermediates],
-        }
+        return json.loads(self.to_json())
 
     def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+        """``json.dumps`` of the certificate's fields, with integral values written as ints.
+
+        The states are formatted in chain order by ``state_texts``, so each
+        number is formatted once per change rather than once per state.
+        """
+        source, *rows, target = map(", ".join, state_texts(
+            (self.source, *self.intermediates, self.target)))
+        inters = ", ".join([f"[{z}]" for z in rows])
+        steps = json.dumps([_step_to_dict(s) for s in self.steps])
+        text = (f'{{"mode": "{self.mode.value}", "source": [{source}], "target": [{target}], '
+                f'"steps": {steps}, "intermediates": [{inters}]}}')
+        return text if indent is None else json.dumps(json.loads(text), indent=indent)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Certificate":
@@ -181,6 +186,28 @@ def _numbers(value, what: str) -> list:
     if not _JSON_NUMBER_TYPES.issuperset(map(type, _array(value, what))):
         raise MalformedCertificate(f"{what} must hold only numbers")
     return value
+
+
+def state_texts(states: Iterable[Array]) -> Iterator[list[str]]:
+    """Each state's numbers as ``str(plain_number(v))``, for states of one length.
+
+    Consecutive chain states differ in one or two positions (a sort only
+    reorders), so each state's texts are its predecessor's with just the
+    positions whose values differ formatted again.  Only the recorded values
+    are compared, never the steps; equal values print alike (``-0.0`` as ``0``).
+    """
+    prev: Optional[Sequence[float]] = None
+    texts: list[str] = []
+    for z in states:
+        cur = z.values
+        if prev is None:
+            texts = [str(plain_number(v)) for v in cur]
+        else:
+            texts = texts.copy()
+            for k in compress(count(), map(ne, prev, cur)):
+                texts[k] = str(plain_number(cur[k]))
+        yield texts
+        prev = cur
 
 
 def _step_to_dict(step: Step) -> dict:

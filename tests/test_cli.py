@@ -20,8 +20,10 @@ from majorize import (
     make_array,
     random_dominated_pair,
 )
+import majorize.cli
+import majorize.decompose
 from majorize.cli import build_parser, main, parse_timeline_csv
-from majorize.core import OUTCOME
+from majorize.core import EXACT, OUTCOME, plain_number
 
 
 def run(capsys, *argv):
@@ -175,6 +177,32 @@ def test_decompose_prints_chain_states_losslessly(capsys):
     assert code == 0
     states = out.strip().split(" ≺ ")
     assert len(states) == len(set(states)) == 3
+
+
+def test_decompose_formats_each_changed_number_once(monkeypatch, capsys):
+    # a step changes one or two positions, so each state needs at most two numbers formatted
+    calls = 0
+
+    def counting(v):
+        nonlocal calls
+        calls += 1
+        return plain_number(v)
+
+    for module in (majorize.cli, majorize.decompose):
+        monkeypatch.setattr(module, "plain_number", counting)
+    x, y = random_dominated_pair(5, 200, 400)
+    cert = decompose_general(x, y, EXACT)
+    n, steps = len(x), len(cert.steps)
+    assert steps >= 100  # formatting every value of every state would take n * (steps + 2)
+    text = cert.to_json()
+    assert calls <= 2 * n + 2 * steps
+    assert text == json.dumps(json.loads(text))
+    calls = 0
+    literal = [",".join(str(int(v)) for v in z) for z in (x, y)]
+    code, out, _ = run(capsys, "decompose", *literal, "--eps", "0")
+    assert code == 0
+    assert calls <= 2 * n + 2 * steps
+    assert out.count(" ≺ ") == steps
 
 
 def test_decompose_equal_arrays(capsys):

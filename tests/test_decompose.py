@@ -1,7 +1,10 @@
 import collections
+import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from majorize import (
     EXACT,
@@ -32,7 +35,7 @@ from majorize import (
     sort_desc,
     verify_certificate,
 )
-from majorize.core import _apply_step
+from majorize.core import _apply_step, plain_number
 from majorize.decompose import _first_above
 from genpairs import decreasing_pair, sized
 
@@ -391,6 +394,67 @@ def test_certificate_round_trip_floats():
     cert = decompose_general(make_array([0.5, 2.25]), make_array([1.75, 1.5]), EXACT)
     again = Certificate.from_json(cert.to_json())
     assert again == cert
+
+
+# values whose text is easy to get wrong: signed zero, a subnormal, a short decimal,
+# and integral floats beyond 2**53 that must print as ints, not in exponent form
+_AWKWARD_VALUES = st.sampled_from([0.0, -0.0, 5e-324, 0.1, 1.0, 2.5, 1e16, 2.0 ** 53 + 2, 1e22])
+_VALUES = _AWKWARD_VALUES | st.floats(0.0, 1e22)
+_AMOUNTS = st.sampled_from([5e-324, 0.1, 1.0, 2.0 ** 53 + 2, 1e22]) | st.floats(1e-300, 1e22)
+_STEPS = st.one_of(
+    st.builds(lambda i, d, a: Transfer(i, i + d, a), st.integers(1, 5), st.integers(1, 5), _AMOUNTS),
+    st.builds(Increase, st.integers(1, 6), _AMOUNTS),
+    st.just(SortDesc()),
+)
+
+
+@st.composite
+def hand_built_certificates(draw):
+    """Certificates no producer wrote: states unrelated to the steps and, in places, to each other."""
+    n = draw(st.integers(1, 6))
+    state = st.lists(_VALUES, min_size=n, max_size=n)
+    source = make_array(draw(state))
+    steps = draw(st.lists(_STEPS, max_size=6))
+    prev, inters = source.values, []
+    for _ in steps:
+        # each position is kept from the state before or drawn afresh, so some states
+        # share most values with their predecessor and others share none
+        fresh, keep = draw(state), draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        prev = [p if k else f for p, f, k in zip(prev, fresh, keep)]
+        inters.append(make_array(prev))
+    target = make_array(draw(state))
+    return Certificate(source, target, tuple(steps), tuple(inters),
+                       draw(st.sampled_from(CertificateMode)))
+
+
+def _reference_dict(cert: Certificate) -> dict:
+    """The certificate as a dict, one ``plain_number`` per value."""
+    def step(s):
+        if isinstance(s, Transfer):
+            return {"type": "transfer", "i": s.i, "j": s.j, "a": plain_number(s.a)}
+        if isinstance(s, Increase):
+            return {"type": "increase", "i": s.i, "a": plain_number(s.a)}
+        return {"type": "sort_desc"}
+
+    return {
+        "mode": cert.mode.value,
+        "source": [plain_number(v) for v in cert.source],
+        "target": [plain_number(v) for v in cert.target],
+        "steps": [step(s) for s in cert.steps],
+        "intermediates": [[plain_number(v) for v in z] for z in cert.intermediates],
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(hand_built_certificates())
+@example(Certificate(make_array([0.0, 1.0]), make_array([-0.0, 1.0]), (Increase(2, 1),),
+                     (make_array([-0.0, 1.0]),), CertificateMode.GENERAL))  # 0.0 == -0.0
+def test_encoding_matches_a_reference_encoder(cert):
+    reference = _reference_dict(cert)
+    assert cert.to_json() == json.dumps(reference)
+    assert cert.to_json(indent=2) == json.dumps(reference, indent=2)
+    assert cert.to_dict() == reference
+    assert json.dumps(cert.to_dict()) == json.dumps(reference)  # ints stay ints
 
 
 def _float_pair_size(i: int) -> tuple[int, int]:
