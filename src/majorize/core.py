@@ -13,7 +13,6 @@ to 2**53 exactly).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from operator import ge
@@ -109,13 +108,50 @@ def as_eps(tol: Optional[float]) -> float:
 _SAFE_TOTAL = 2.0 ** 1020
 
 
-@dataclass(frozen=True)
-class Array:
+class _Record:
+    """Immutable record whose fields are named, in order, by ``__match_args__``.
+
+    Equality, hashing and ``repr`` go by the tuple of field values, as for a
+    frozen dataclass.  Each subclass sets its fields in its ``__init__``
+    through ``object.__setattr__``.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self.__match_args__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Array(_Record):
     """Immutable finite sequence of non-negative scalars, length >= 1."""
 
+    __match_args__ = ("values",)
     values: tuple[float, ...]
 
+    def __init__(self, values: tuple[float, ...]):
+        object.__setattr__(self, "values", values)
+        self.__post_init__()
+
     def __post_init__(self):
+        """Validate and normalize ``values``: every ``Array`` built goes through here."""
         # From a list, tuple() allocates the exact size; from a bare iterator
         # it allocates 10 slots and resizes.  CPython keeps freed resized
         # tuples on its per-size free lists (up to 2000 each) until a full
@@ -200,42 +236,43 @@ def _check_amount(a, kind: str) -> float:
     return amount
 
 
-@dataclass(frozen=True)
-class Transfer:
+class Transfer(_Record):
     """Move amount ``a`` from position ``j`` to the earlier position ``i`` (1-based, i < j).
 
     The total is preserved and every prefix sum between i and j-1 grows by
     ``a``, so the result strictly dominates the input.
     """
 
+    __match_args__ = ("i", "j", "a")
     i: int
     j: int
     a: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "i", _check_index(self.i, "i"))
-        object.__setattr__(self, "j", _check_index(self.j, "j"))
-        if self.j <= self.i:
+    def __init__(self, i: int, j: int, a: float):
+        i = _check_index(i, "i")
+        j = _check_index(j, "j")
+        if j <= i:
             raise IndexOutOfBounds(
-                f"transfer source index j must exceed destination i, got i={self.i}, j={self.j}"
+                f"transfer source index j must exceed destination i, got i={i}, j={j}"
             )
-        object.__setattr__(self, "a", _check_amount(self.a, "transfer"))
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "a", _check_amount(a, "transfer"))
 
 
-@dataclass(frozen=True)
-class Increase:
+class Increase(_Record):
     """Add amount ``a`` at position ``i`` (1-based); nothing is removed anywhere."""
 
+    __match_args__ = ("i", "a")
     i: int
     a: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "i", _check_index(self.i, "i"))
-        object.__setattr__(self, "a", _check_amount(self.a, "increase"))
+    def __init__(self, i: int, a: float):
+        object.__setattr__(self, "i", _check_index(i, "i"))
+        object.__setattr__(self, "a", _check_amount(a, "increase"))
 
 
-@dataclass(frozen=True)
-class SortDesc:
+class SortDesc(_Record):
     """Rearrange the array into non-increasing order (stable for ties)."""
 
 

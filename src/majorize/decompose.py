@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, compress, count, repeat
 from operator import add, gt, le, ne
@@ -45,6 +44,7 @@ from .core import (
     plain_number,
     sort_desc,
     _apply_step,
+    _Record,
     _require_same_length,
 )
 
@@ -95,8 +95,7 @@ class CertificateMode(Enum):
     TRANSFERS = "transfers"
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Record):
     """An ordered list of steps transforming ``source`` into ``target``.
 
     ``intermediates[t]`` records the state after step ``t``; the chain of
@@ -104,20 +103,25 @@ class Certificate:
     producing algorithm.
     """
 
+    __match_args__ = ("source", "target", "steps", "intermediates", "mode")
     source: Array
     target: Array
     steps: tuple[Step, ...]
     intermediates: tuple[Array, ...]
     mode: CertificateMode
 
-    def __post_init__(self):
-        if len(self.steps) != len(self.intermediates):
-            raise MajorizeError(
-                f"{len(self.steps)} steps but {len(self.intermediates)} intermediates"
-            )
-        n = len(self.source)
-        if len(self.target) != n or any(len(z) != n for z in self.intermediates):
+    def __init__(self, source: Array, target: Array, steps: tuple[Step, ...],
+                 intermediates: tuple[Array, ...], mode: CertificateMode):
+        if len(steps) != len(intermediates):
+            raise MajorizeError(f"{len(steps)} steps but {len(intermediates)} intermediates")
+        n = len(source)
+        if len(target) != n or any(len(z) != n for z in intermediates):
             raise MajorizeError("certificate arrays must all have the same length")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "intermediates", intermediates)
+        object.__setattr__(self, "mode", mode)
 
     @property
     def final(self) -> Array:
@@ -248,20 +252,30 @@ class FailureReason(Enum):
     SORTED_INTERMEDIATE_NOT_BELOW_TARGET = "SortedIntermediateNotBelowTarget"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     """The verdict; a failed check also names its reason, step and detail.
 
     A failed prefix-sum check also names the first 1-based prefix that broke
     it, where some prefix did; a chain step that raises no prefix sum has none.
     """
 
+    __match_args__ = ("ok", "checked_steps", "reason", "step_index", "detail", "prefix_index")
     ok: bool
     checked_steps: int
-    reason: Optional[FailureReason] = None
-    step_index: Optional[int] = None  # 0-based step, None for certificate-level failures
-    detail: str = ""
-    prefix_index: Optional[int] = None
+    reason: Optional[FailureReason]
+    step_index: Optional[int]  # 0-based step, None for certificate-level failures
+    detail: str
+    prefix_index: Optional[int]
+
+    def __init__(self, ok: bool, checked_steps: int, reason: Optional[FailureReason] = None,
+                 step_index: Optional[int] = None, detail: str = "",
+                 prefix_index: Optional[int] = None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "checked_steps", checked_steps)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "step_index", step_index)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "prefix_index", prefix_index)
 
 
 def _close(a: Sequence[float], b: Sequence[float], slack: float) -> bool:

@@ -12,7 +12,6 @@ that relation.
 from __future__ import annotations
 
 import math
-import statistics
 from itertools import accumulate
 from typing import Callable, Iterable, Optional
 
@@ -79,8 +78,12 @@ def default_convex_family(x: Array, y: Array) -> tuple[Callable[[float], float],
     def hinge(t: float) -> Callable[[float], float]:
         return lambda v: v - t if v > t else 0.0
 
-    for t in statistics.quantiles(combined, n=10, method="inclusive"):
-        family.append(hinge(t))
+    # the inclusive deciles, as statistics.quantiles(combined, n=10, method="inclusive")
+    d = sorted(combined)
+    last = len(d) - 1
+    for i in range(1, 10):
+        j, delta = divmod(i * last, 10)
+        family.append(hinge((d[j] * (10 - delta) + d[j + 1] * delta) / 10))
     m = max(combined)
     if m > 0.0:
         family.append(lambda v: math.exp(v / m))

@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 
 from majorize import (
     EXACT,
+    Array,
+    Certificate,
     DominanceOutcome,
     EmptyArray,
+    FailureReason,
     Increase,
     IndexOutOfBounds,
     LengthMismatch,
@@ -21,10 +24,12 @@ from majorize import (
     SortStepNotEii,
     Transfer,
     TransferExceedsSource,
+    VerificationReport,
     apply_eii,
     as_eps,
     classical_majorizes,
     componentwise_leq,
+    decompose_general,
     dominance_matrix,
     dominates_or_equal,
     generalized_compare,
@@ -148,6 +153,72 @@ def test_outcome_survives_copying_as_dict_key_and_set_member(clone):
     assert clone(by_outcome) == by_outcome
     assert clone(set(DominanceOutcome)) == set(DominanceOutcome)
     assert all(clone(outcome) is outcome for outcome in DominanceOutcome)
+
+
+# each record with its repr, which is a frozen dataclass's
+RECORDS = {
+    "Array": (lambda: make_array([1.5, 0]), "Array(values=(1.5, 0.0))"),
+    "Transfer": (lambda: Transfer(1, 2, 3), "Transfer(i=1, j=2, a=3.0)"),
+    "Increase": (lambda: Increase(2.0, 0.5), "Increase(i=2, a=0.5)"),
+    "SortDesc": (SortDesc, "SortDesc()"),
+    "Certificate": (
+        lambda: decompose_general(make_array([1, 3]), make_array([2, 2]), EXACT),
+        "Certificate(source=Array(values=(1.0, 3.0)), target=Array(values=(2.0, 2.0)), "
+        "steps=(Transfer(i=1, j=2, a=1.0),), intermediates=(Array(values=(2.0, 2.0)),), "
+        "mode=<CertificateMode.GENERAL: 'general'>)",
+    ),
+    "VerificationReport": (
+        lambda: VerificationReport(True, 3),
+        "VerificationReport(ok=True, checked_steps=3, reason=None, step_index=None, "
+        "detail='', prefix_index=None)",
+    ),
+    "failed VerificationReport": (
+        lambda: VerificationReport(False, 2, FailureReason.CHAIN_NOT_STRICT, 1, "no", 2),
+        "VerificationReport(ok=False, checked_steps=2, reason=<FailureReason.CHAIN_NOT_STRICT: "
+        "'ChainNotStrict'>, step_index=1, detail='no', prefix_index=2)",
+    ),
+}
+
+
+def fields_by_match(record):
+    """The field values in order, taken apart by a positional class pattern."""
+    match record:
+        case Array(values):
+            return (values,)
+        case Transfer(i, j, a):
+            return (i, j, a)
+        case Increase(i, a):
+            return (i, a)
+        case SortDesc():
+            return ()
+        case Certificate(source, target, steps, intermediates, mode):
+            return (source, target, steps, intermediates, mode)
+        case VerificationReport(ok, checked_steps, reason, step_index, detail, prefix_index):
+            return (ok, checked_steps, reason, step_index, detail, prefix_index)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_compare_hash_copy_and_print_by_their_fields(name):
+    build, text = RECORDS[name]
+    record, twin = build(), build()
+    fields = tuple(getattr(record, f) for f in type(record).__match_args__)
+    assert record is not twin and record == twin and hash(record) == hash(twin)
+    assert repr(record) == text
+    assert fields_by_match(record) == fields
+    for clone in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(clone) is type(record) and clone == record and hash(clone) == hash(record)
+    # another class with the same fields, and every other record, compare unequal
+    other_class = type("Other", (type(record),), {})(*fields)
+    assert record != other_class and other_class != record
+    assert record != fields
+    others = [other() for other, _ in RECORDS.values()]
+    assert all(record != o for o in others if type(o) is not type(record))
+    for attr in (*type(record).__match_args__, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, attr, 1)
+        with pytest.raises(AttributeError):
+            delattr(record, attr)
+    assert record == twin
 
 
 def test_generalized_compare_length_mismatch():

@@ -1,3 +1,6 @@
+import math
+import statistics
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -140,6 +143,34 @@ def test_default_family_composition():
     assert len(fam) == 11  # square, nine decile hinges, exponential
     assert fam[0](3.0) == 9.0
     assert all(phi(0.0) >= 0.0 for phi in fam)
+
+
+def reference_family(x, y):
+    """The default family as built from ``statistics.quantiles``."""
+    combined = [*x.values, *y.values]
+    m = max(combined)
+    deciles = statistics.quantiles(combined, n=10, method="inclusive")
+    return ([lambda v: v * v]
+            + [lambda v, t=t: v - t if v > t else 0.0 for t in deciles]
+            + ([lambda v: math.exp(v / m)] if m > 0.0 else [])), deciles
+
+
+_DECILE_VALUES = st.one_of(st.sampled_from([0.0, 5e-324, 0.1, 1e16]), st.floats(0.0, 1.0),
+                           st.floats(0.0, 1e300))
+
+
+@given(st.lists(_DECILE_VALUES, min_size=1, max_size=40),
+       st.lists(_DECILE_VALUES, min_size=1, max_size=40))
+@settings(max_examples=300)
+def test_default_family_deciles_match_statistics_quantiles(xs, ys):
+    x, y = make_array(xs), make_array(ys)
+    reference, deciles = reference_family(x, y)
+    family = default_convex_family(x, y)
+    assert len(family) == len(reference)
+    # each reference decile and the next float above it tell hinges one ulp apart
+    probes = [0.0, *xs, *ys, *deciles, *(math.nextafter(t, math.inf) for t in deciles)]
+    for phi, ref in zip(family, reference):
+        assert [phi(v) for v in probes] == [ref(v) for v in probes]
 
 
 def test_default_family_handles_all_zero_arrays():
