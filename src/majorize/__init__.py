@@ -28,7 +28,6 @@ from .core import (
     dominates_or_equal,
     generalized_compare,
     make_array,
-    prefix_sums,
     sort_asc,
     sort_desc,
 )

@@ -18,6 +18,7 @@ result (not dominated, invalid certificate, undefined curve), 2 input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -188,12 +189,24 @@ def _tolerance(args) -> float:
     return as_eps(eps)
 
 
-def _write_file(path: str, content: str) -> None:
+def _open_out(path: str):
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(content)
+        return open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise MajorizeError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_pieces(fh, pieces: list[str]) -> None:
+    """Write ``pieces`` to the file ``_open_out`` opened, and close it."""
+    try:
+        with fh:
+            fh.writelines(pieces)
+    except OSError as exc:
+        raise MajorizeError(f"cannot write {fh.name}: {exc}") from exc
+
+
+def _write_file(path: str, content: str) -> None:
+    _write_pieces(_open_out(path), [content])
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +239,31 @@ def _cmd_decompose(args) -> int:
         "transfers": decompose_transfers,
     }[args.mode]
     cert = produce(left, right, tol)
-    if args.out:
-        _write_file(args.out, cert.to_json() + "\n")
-    if cert.steps:
-        states = state_texts((cert.source, *cert.intermediates))
-        print(" ≺ ".join("(" + ",".join(z) + ")" for z in states))
-    else:
-        print("already equal")
+    # opened before anything is printed, so that a bad path leaves stdout empty
+    with _open_out(args.out) if args.out else contextlib.nullcontext() as out:
+        show = _chain_printer() if cert.steps else None
+        if out is not None:
+            pieces = cert._json_pieces(show)  # each state is formatted once for both outputs
+        elif show is not None:
+            for texts in state_texts((cert.source, *cert.intermediates)):
+                show(texts)
+        print("already equal" if show is None else "")  # "" ends the printed chain's line
+        if out is not None:
+            _write_pieces(out, [*pieces, "\n"])
     return 0
+
+
+def _chain_printer():
+    """Print each chain state's texts as it comes, ``(4,4) ≺ (5,3)``, with no joined chain."""
+    write = sys.stdout.write
+    sep = "("
+
+    def show(texts: list[str]) -> None:
+        nonlocal sep
+        write(sep + ",".join(texts) + ")")
+        sep = " ≺ ("
+
+    return show
 
 
 def _cmd_verify(args) -> int:

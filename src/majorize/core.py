@@ -199,9 +199,17 @@ def make_array(values: Iterable[float]) -> Array:
     return Array(tuple(values))
 
 
-def prefix_sums(x: Array) -> tuple[float, ...]:
-    """Running sums; entry ``k-1`` is the sum of the first k components."""
-    return tuple([*accumulate(x.values)])  # a list first, as in Array: no resized tuple
+def _float_array(vals: tuple[float, ...]) -> Array:
+    """``Array(vals)`` for a tuple that holds only floats, without its ``float()`` copy.
+
+    The producer records each state this way.  Values that fail Array's fast
+    check go through ``Array(vals)``, so they raise exactly its errors.
+    """
+    if vals and min(vals) >= 0.0 and sum(vals) < _SAFE_TOTAL:
+        arr = object.__new__(Array)
+        object.__setattr__(arr, "values", vals)
+        return arr
+    return Array(vals)
 
 
 def plain_number(v: float) -> Union[int, float]:

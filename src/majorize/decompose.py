@@ -27,9 +27,9 @@ from __future__ import annotations
 import json
 import random
 from enum import Enum
-from itertools import accumulate, compress, count, repeat
+from itertools import accumulate, compress, count, islice, repeat
 from operator import add, gt, le, ne
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import (
     Array,
@@ -44,6 +44,7 @@ from .core import (
     plain_number,
     sort_desc,
     _apply_step,
+    _float_array,
     _Record,
     _require_same_length,
 )
@@ -133,22 +134,38 @@ class Certificate(_Record):
 
     # -- serialization ------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        return json.loads(self.to_json())
-
     def to_json(self, indent: int | None = None) -> str:
         """``json.dumps`` of the certificate's fields, with integral values written as ints.
 
-        The states are formatted in chain order by ``state_texts``, so each
-        number is formatted once per change rather than once per state.
+        The compact text is ``_json_pieces()`` joined.
         """
-        source, *rows, target = map(", ".join, state_texts(
-            (self.source, *self.intermediates, self.target)))
-        inters = ", ".join([f"[{z}]" for z in rows])
-        steps = json.dumps([_step_to_dict(s) for s in self.steps])
-        text = (f'{{"mode": "{self.mode.value}", "source": [{source}], "target": [{target}], '
-                f'"steps": {steps}, "intermediates": [{inters}]}}')
+        text = "".join(self._json_pieces())
         return text if indent is None else json.dumps(json.loads(text), indent=indent)
+
+    def _json_pieces(self, each_state: Optional[Callable[[list[str]], object]] = None) -> list[str]:
+        """The compact JSON text in pieces, one per recorded state, for writing without a join.
+
+        The states are formatted once, in chain order, by ``state_texts``, so
+        each number is formatted once per change and the target as a change
+        from the final state.  ``each_state`` gets the texts of the source and
+        of each intermediate as they are formatted.
+        """
+        states = state_texts((self.source, *self.intermediates, self.target))
+        source = next(states)
+        if each_state is not None:
+            each_state(source)
+        rows = []
+        sep = "["
+        for texts in islice(states, len(self.intermediates)):
+            if each_state is not None:
+                each_state(texts)
+            rows.append(f"{sep}{', '.join(texts)}]")
+            sep = ", ["
+        target = ", ".join(next(states))
+        steps = json.dumps([_step_to_dict(s) for s in self.steps])
+        head = (f'{{"mode": "{self.mode.value}", "source": [{", ".join(source)}], '
+                f'"target": [{target}], "steps": {steps}, "intermediates": [')
+        return [head, *rows, "]}"]
 
     @classmethod
     def from_dict(cls, data: dict) -> "Certificate":
@@ -504,7 +521,7 @@ def _decompose(x: Array, y: Array, tol: Optional[float], mode: CertificateMode) 
         if cur[i] - yv[i] > surplus_eps:
             j = i  # rounding lifted the filled position over its target
         steps.append(step)
-        inters.append(Array(tuple(cur)))
+        inters.append(_float_array(tuple(cur)))
         if mode is CertificateMode.DECREASING and not inters[-1].is_non_increasing():
             ranked = sorted(cur, reverse=True)
             ranked_sums = list(accumulate(ranked))
@@ -519,7 +536,7 @@ def _decompose(x: Array, y: Array, tol: Optional[float], mode: CertificateMode) 
             if _first_above(ranked_sums, map(add, accumulate(cur), repeat(eps))):  # else not strict
                 cur = ranked
                 steps.append(SortDesc())
-                inters.append(Array(tuple(cur)))
+                inters.append(_float_array(tuple(cur)))
                 i = j = 0
         if len(steps) > cap:  # only reachable for adversarial sub-eps inputs
             raise MajorizeError("decomposition did not converge; inputs are at tolerance scale")

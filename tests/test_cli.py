@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -186,7 +187,7 @@ def test_decompose_prints_chain_states_losslessly(capsys):
     assert len(states) == len(set(states)) == 3
 
 
-def test_decompose_formats_each_changed_number_once(monkeypatch, capsys):
+def test_decompose_formats_each_changed_number_once(monkeypatch, capsys, tmp_path):
     # a step changes one or two positions, so each state needs at most two numbers formatted
     calls = 0
 
@@ -210,12 +211,26 @@ def test_decompose_formats_each_changed_number_once(monkeypatch, capsys):
     assert code == 0
     assert calls <= 2 * n + 2 * steps
     assert out.count(" ≺ ") == steps
+    # with --out the printed chain and the certificate share one formatting pass
+    calls = 0
+    out_file = tmp_path / "cert.json"
+    code, out, _ = run(capsys, "decompose", *literal, "--eps", "0", "--out", str(out_file))
+    assert code == 0
+    assert calls <= 2 * n + 2 * steps
+    assert out.count(" ≺ ") == steps
+    assert out_file.read_text(encoding="utf-8") == text + "\n"
 
 
-def test_decompose_equal_arrays(capsys):
+def test_decompose_equal_arrays(capsys, tmp_path):
     code, out, _ = run(capsys, "decompose", "5,5", "5,5")
     assert code == 0
     assert "already equal" in out
+    out_file = tmp_path / "cert.json"
+    code, out, _ = run(capsys, "decompose", "5,5", "5,5", "--out", str(out_file))
+    assert code == 0
+    assert out == "already equal\n"
+    cert = decompose_general(make_array([5, 5]), make_array([5, 5]))
+    assert out_file.read_bytes() == (cert.to_json() + "\n").encode("utf-8")
 
 
 def test_decompose_transfers_mode(capsys):
@@ -247,10 +262,34 @@ def test_decompose_out_is_the_compact_certificate_json(tmp_path, capsys, mode, p
 
 
 def test_decompose_unwritable_out_exits_two_before_printing(tmp_path, capsys):
-    code, out, err = run(capsys, "decompose", "1,1", "2,2", "--out", str(tmp_path / "missing" / "x.json"))
-    assert code == 2
-    assert out == ""
-    assert "cannot write" in err
+    target = tmp_path / "missing" / "x.json"
+    for left, right in (("1,1", "2,2"), ("1,5,2", "3,4,3")):
+        code, out, err = run(capsys, "decompose", left, right, "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write")
+        assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("n", [1000, 2000])
+def test_decompose_out_peak_memory_stays_near_the_certificate(tmp_path, n):
+    # the printed chain and the --out text are written piece by piece, never joined;
+    # stdout goes to os.devnull because the chain itself is O(n * steps) text
+    x, y = random_dominated_pair(7, n, 2 * n)
+    tracemalloc.start()
+    try:
+        decompose_general(x, y, EXACT)
+        certificate_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        literal = [",".join(str(int(v)) for v in z) for z in (x, y)]
+        argv = ["decompose", *literal, "--eps", "0", "--out", str(tmp_path / "c.json")]
+        with open(os.devnull, "w", encoding="utf-8") as devnull, contextlib.redirect_stdout(devnull):
+            code = main(argv)
+        command_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert command_peak <= 2.2 * certificate_peak, (command_peak, certificate_peak)
 
 
 def test_decompose_not_dominated_exits_one(capsys):

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import sys
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -34,12 +35,11 @@ from majorize import (
     dominates_or_equal,
     generalized_compare,
     make_array,
-    prefix_sums,
     random_dominated_pair,
     sort_asc,
     sort_desc,
 )
-from majorize.core import OUTCOME, _apply_step
+from majorize.core import OUTCOME, _apply_step, _float_array
 
 EQ = DominanceOutcome.EQUAL
 LSB = DominanceOutcome.LEFT_STRICTLY_BELOW
@@ -88,10 +88,10 @@ def test_make_array_rejects_an_overflowing_total():
 def test_total_and_overflow_check_use_the_running_sum():
     # sum() compensates rounding from Python 3.12 on; a running sum is the same everywhere
     tenths = make_array([0.1] * 10)
-    assert tenths.total == prefix_sums(tenths)[-1] == 0.9999999999999999
+    assert tenths.total == [*accumulate(tenths.values)][-1] == 0.9999999999999999
     top = sys.float_info.max
     near = make_array([top, 2.0 ** 969, 2.0 ** 969])  # the exact sum rounds to inf, the running sum does not
-    assert near.total == prefix_sums(near)[-1] == top
+    assert near.total == [*accumulate(near.values)][-1] == top
     with pytest.raises(MajorizeError, match="largest float"):
         make_array([2.0 ** 969, 2.0 ** 969, top])
 
@@ -110,6 +110,28 @@ def test_tolerance_semantics():
             generalized_compare(make_array([1]), make_array([1]), bad)
 
 
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, 1.0, 1e308, sys.float_info.max, -1.0, math.nan, math.inf)
+
+
+def _built_or_raised(build, values):
+    try:
+        arr = build(values)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return arr, repr(arr.values)  # the repr tells -0.0 from 0.0
+
+
+@settings(max_examples=500)
+@given(st.lists(st.sampled_from(_EDGE_FLOATS), min_size=1, max_size=6).map(tuple))
+def test_float_array_is_array_for_float_tuples(values):
+    # the producer's constructor returns what Array returns, or raises what Array raises
+    assert _built_or_raised(_float_array, values) == _built_or_raised(Array, values)
+
+
+def test_float_array_of_an_empty_tuple_raises_as_array_does():
+    assert _built_or_raised(_float_array, ()) == _built_or_raised(Array, ())
+
+
 # ---------------------------------------------------------------------------
 # prefix sums
 # ---------------------------------------------------------------------------
@@ -120,12 +142,12 @@ def test_tolerance_semantics():
     ((0, 0), (0, 0)),
 ])
 def test_prefix_sums_goldens(values, expected):
-    assert prefix_sums(make_array(values)) == tuple(float(v) for v in expected)
+    assert tuple(accumulate(make_array(values).values)) == tuple(float(v) for v in expected)
 
 
 @given(int_arrays)
 def test_prefix_sums_match_slice_oracle(x):
-    ps = prefix_sums(x)
+    ps = [*accumulate(x.values)]
     for k in range(1, len(x) + 1):
         assert ps[k - 1] == sum(x.values[:k])
     assert ps[-1] == x.total
@@ -321,7 +343,7 @@ def test_transfer_shifts_prefix_sums_exactly():
     x = make_array([1, 2, 3])
     out = apply_eii(x, Transfer(1, 3, 2), EXACT)
     assert out.values == (3.0, 2.0, 1.0)
-    assert prefix_sums(out) == (3.0, 5.0, 6.0)
+    assert tuple(accumulate(out.values)) == (3.0, 5.0, 6.0)
     assert generalized_compare(x, out, EXACT) is LSB
 
 
@@ -336,8 +358,8 @@ def test_transfer_prefix_relation(data):
         vals[j - 1] = 1
         x = make_array(vals)
     a = data.draw(st.integers(1, vals[j - 1]))
-    before = prefix_sums(x)
-    after = prefix_sums(apply_eii(x, Transfer(i, j, a), EXACT))
+    before = [*accumulate(x.values)]
+    after = [*accumulate(apply_eii(x, Transfer(i, j, a), EXACT).values)]
     for k in range(1, len(vals) + 1):
         if i <= k < j:
             assert after[k - 1] == before[k - 1] + a
