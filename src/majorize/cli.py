@@ -205,10 +205,6 @@ def _write_pieces(fh, pieces: list[str]) -> None:
         raise MajorizeError(f"cannot write {fh.name}: {exc}") from exc
 
 
-def _write_file(path: str, content: str) -> None:
-    _write_pieces(_open_out(path), [content])
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -293,7 +289,7 @@ def _cmd_lorenz(args) -> int:
     else:
         payload = "abscissa,ordinate\n" + "".join(f"{a!r},{o!r}\n" for a, o in points)
     if args.out:
-        _write_file(args.out, payload)
+        _write_pieces(_open_out(args.out), [payload])
     else:
         sys.stdout.write(payload)
     print(f"gini = {plain_number(g)}")
@@ -309,7 +305,7 @@ def _cmd_batch(args) -> int:
         list(table.values()), tol, args.mode == "classical", generalized_compare)]
     if args.out:
         report = {"mode": args.mode, "eps": tol, "ids": ids, "matrix": matrix}
-        _write_file(args.out, json.dumps(report, ensure_ascii=False) + "\n")
+        _write_pieces(_open_out(args.out), [json.dumps(report, ensure_ascii=False) + "\n"])
     print("\t".join(["id", *ids]))
     for eid, row in zip(ids, matrix):
         print("\t".join([eid, *row]))
@@ -329,7 +325,7 @@ def _cmd_gen(args) -> int:
         lines.append(f"{_fmt_literal(x)} {_fmt_literal(y)}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        _write_file(args.out, text)
+        _write_pieces(_open_out(args.out), [text])
     else:
         sys.stdout.write(text)
     return 0

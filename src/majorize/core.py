@@ -172,9 +172,6 @@ class Array(_Record):
     def __len__(self) -> int:
         return len(self.values)
 
-    def __getitem__(self, k):
-        return self.values[k]
-
     def __iter__(self):
         return iter(self.values)
 

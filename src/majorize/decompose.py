@@ -168,7 +168,13 @@ class Certificate(_Record):
         return [head, *rows, "]}"]
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Certificate":
+    def from_json(cls, text: str) -> "Certificate":
+        try:
+            data = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise MalformedCertificate(f"not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise MalformedCertificate("certificate JSON must be an object")
         try:
             mode = CertificateMode(data["mode"])
             source = make_array(_numbers(data["source"], "source"))
@@ -182,16 +188,6 @@ class Certificate(_Record):
             raise
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedCertificate(f"bad certificate data: {exc}") from exc
-
-    @classmethod
-    def from_json(cls, text: str) -> "Certificate":
-        try:
-            data = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise MalformedCertificate(f"not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise MalformedCertificate("certificate JSON must be an object")
-        return cls.from_dict(data)
 
 
 _JSON_NUMBER_TYPES = {int, float}  # as json.loads builds them; bool is excluded

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .core import (
     Array,
@@ -66,7 +66,7 @@ def classical_majorizes(x: Array, y: Array, tol: Optional[float] = None) -> bool
 
 
 def default_convex_family(x: Array, y: Array) -> tuple[Callable[[float], float], ...]:
-    """The fixed convex test family used when none is supplied.
+    """The fixed convex test family that ``convex_inequality_holds`` checks.
 
     v -> v**2; the hinges v -> max(v - t, 0) with t at the deciles of the
     combined components; and v -> exp(v / m) with m the combined maximum
@@ -90,13 +90,10 @@ def default_convex_family(x: Array, y: Array) -> tuple[Callable[[float], float],
     return tuple(family)
 
 
-def convex_inequality_holds(
-    x: Array,
-    y: Array,
-    family: Optional[Iterable[Callable[[float], float]]] = None,
-    tol: Optional[float] = None,
-) -> bool:
-    """True iff sum(phi(x_i)) <= sum(phi(y_i)) + eps for every phi in the family.
+def convex_inequality_holds(x: Array, y: Array, tol: Optional[float] = None) -> bool:
+    """True iff sum(phi(x_i)) <= sum(phi(y_i)) + eps for every phi in the default family.
+
+    The family is ``default_convex_family(x, y)``.
 
     This is the testable direction of the convex-sum characterization of
     classical majorization; a finite family cannot certify the converse.
@@ -105,9 +102,7 @@ def convex_inequality_holds(
     """
     _require_same_length(x, y)
     eps = as_eps(tol)
-    if family is None:
-        family = default_convex_family(x, y)
-    for phi in family:
+    for phi in default_convex_family(x, y):
         if math.fsum(map(phi, x.values)) > math.fsum(map(phi, y.values)) + eps:
             return False
     return True

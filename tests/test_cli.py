@@ -126,6 +126,16 @@ def test_check_entity_refs(tmp_path, capsys):
     assert out.strip() == "LeftStrictlyBelow"
 
 
+@pytest.mark.parametrize("argv", [["check", "a", "nope"], ["decompose", "nope", "b"]])
+def test_unknown_operand_with_a_table_exits_two(tmp_path, capsys, argv):
+    table = tmp_path / "t.csv"
+    table.write_text("a,2,2\nb,3,1\n")
+    code, out, err = run(capsys, *argv, "--input", str(table))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: 'nope' is neither an entity id nor an array literal: ")
+
+
 def test_check_eps_flag(capsys):
     code, out, _ = run(capsys, "check", "5,5", "1,1", "--eps", "10")
     assert code == 0
@@ -269,6 +279,41 @@ def test_decompose_unwritable_out_exits_two_before_printing(tmp_path, capsys):
         assert out == ""
         assert err.startswith("error: cannot write")
         assert not target.parent.exists()
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+@needs_dev_full
+def test_decompose_write_failure_exits_two_after_printing_the_chain(capsys):
+    # --out opens before the chain prints; a failed write shows only when the file is written
+    code, out, err = run(capsys, "decompose", "1,5,2", "3,4,3", "--out", "/dev/full")
+    assert code == 2
+    assert out == "(1,5,2) ≺ (2,4,2) ≺ (3,4,2) ≺ (3,4,3)\n"
+    assert err.startswith("error: cannot write /dev/full")
+
+
+@needs_dev_full
+@pytest.mark.parametrize("command", ["lorenz", "batch", "gen"])
+def test_write_failure_exits_two(tmp_path, capsys, command):
+    table = tmp_path / "t.csv"
+    table.write_text("a,2,2\nb,3,1\n")
+    operands = {"lorenz": ["3,1"], "batch": ["--input", str(table)],
+                "gen": ["--seed", "1", "--n", "3"]}[command]
+    code, out, err = run(capsys, command, *operands, "--out", "/dev/full")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write /dev/full")
+
+
+def test_step_cap_stops_a_sweep_that_makes_no_progress(monkeypatch, capsys):
+    monkeypatch.setattr(majorize.decompose, "_apply_step", lambda vals, step, eps: None)
+    with pytest.raises(MajorizeError, match="^decomposition did not converge"):
+        decompose_general(make_array([0, 0]), make_array([1, 1]))
+    code, out, err = run(capsys, "decompose", "0,0", "1,1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: decomposition did not converge")
 
 
 @pytest.mark.parametrize("n", [1000, 2000])
@@ -486,6 +531,20 @@ def test_verify_wrongly_typed_certificate_exits_two(tmp_path, capsys, text):
     code, out, err = run(capsys, "verify", "--cert", str(cert_file))
     assert code == 2, out
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("target,intermediate", [([2, 1, 0], [2, 1]), ([2, 1], [2, 1, 0])],
+                         ids=["long-target", "long-intermediate"])
+def test_verify_certificate_arrays_of_different_lengths_exit_two(tmp_path, capsys, target,
+                                                                 intermediate):
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(json.dumps({"mode": "general", "source": [1, 1], "target": target,
+                                     "steps": [{"type": "increase", "i": 1, "a": 1}],
+                                     "intermediates": [intermediate]}))
+    code, out, err = run(capsys, "verify", "--cert", str(cert_file))
+    assert (code, out) == (2, "")
+    assert err == (f"error: {cert_file}: bad certificate data: "
+                   "certificate arrays must all have the same length\n")
 
 
 def test_verify_reads_a_certificate_with_a_byte_order_mark(tmp_path, capsys):

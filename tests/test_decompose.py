@@ -743,7 +743,7 @@ def test_malformed_certificates_are_rejected(mutate):
     data = json.loads(chain_certificate().to_json())
     mutate(data)
     with pytest.raises(MalformedCertificate):
-        Certificate.from_dict(data)
+        Certificate.from_json(json.dumps(data))
 
 
 def test_to_json_rejects_a_non_step():
