@@ -65,10 +65,6 @@ _OUTCOME_SYMBOL = {
 _NEGATIVE_RESULTS = (NotDominated, TargetNotDecreasing, SumsNotEqual, ZeroTotal)
 
 
-def _fmt_literal(arr: Array) -> str:
-    return ",".join(str(plain_number(v)) for v in arr)
-
-
 # ---------------------------------------------------------------------------
 # Timeline tables
 # ---------------------------------------------------------------------------
@@ -173,10 +169,6 @@ def _load_table(args) -> Optional[dict[str, Array]]:
         raise MajorizeError(f"{args.input}: {exc}") from exc
 
 
-def _operands(args, table: Optional[dict[str, Array]]) -> tuple[Array, Array]:
-    return _resolve_operand(args.left, table), _resolve_operand(args.right, table)
-
-
 def _tolerance(args) -> float:
     eps = args.eps
     if eps is None:
@@ -211,7 +203,8 @@ def _write_pieces(fh, pieces: list[str]) -> None:
 
 def _cmd_check(args) -> int:
     tol = _tolerance(args)
-    left, right = _operands(args, _load_table(args))
+    table = _load_table(args)
+    left, right = _resolve_operand(args.left, table), _resolve_operand(args.right, table)
     if args.mode == "classical":
         below = classical_majorizes(left, right, tol)
         text = "true" if below else "false"
@@ -228,7 +221,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_decompose(args) -> int:
     tol = _tolerance(args)
-    left, right = _operands(args, _load_table(args))
+    table = _load_table(args)
+    left, right = _resolve_operand(args.left, table), _resolve_operand(args.right, table)
     produce = {
         "general": decompose_general,
         "decreasing": decompose_decreasing,
@@ -322,7 +316,8 @@ def _cmd_gen(args) -> int:
             integer_mode=not args.float,
             transfers_only=args.transfers_only,
         )
-        lines.append(f"{_fmt_literal(x)} {_fmt_literal(y)}")
+        left, right = state_texts((x, y))
+        lines.append(f"{','.join(left)} {','.join(right)}")
     text = "\n".join(lines) + "\n"
     if args.out:
         _write_pieces(_open_out(args.out), [text])

@@ -318,25 +318,22 @@ def verify_certificate(cert: Certificate, tol: Optional[float] = None) -> Verifi
     n = len(cert.source)
     replay_slack = n * eps  # exact when eps = 0
 
-    def failed(step_index: Optional[int], checked: int, reason: FailureReason, detail: str,
-               prefix_index: Optional[int] = None):
-        return VerificationReport(False, checked, reason, step_index, detail, prefix_index)
-
     # structural mode checks
     if cert.mode is CertificateMode.TRANSFERS:
         for t, step in enumerate(cert.steps):
             if not isinstance(step, Transfer):
-                return failed(t, 0, FailureReason.MODE_VIOLATION,
-                              f"step {t} is not a transfer in transfers-only mode")
+                return VerificationReport(False, 0, FailureReason.MODE_VIOLATION, t,
+                                          f"step {t} is not a transfer in transfers-only mode")
     if cert.mode is CertificateMode.DECREASING:
         if not cert.target.is_non_increasing():
-            return failed(None, 0, FailureReason.MODE_VIOLATION,
-                          "decreasing-mode target is not non-increasing")
+            return VerificationReport(False, 0, FailureReason.MODE_VIOLATION, None,
+                                      "decreasing-mode target is not non-increasing")
         for t, step in enumerate(cert.steps):
             if isinstance(step, SortDesc):
                 if t == 0 or isinstance(cert.steps[t - 1], SortDesc):
-                    return failed(t, 0, FailureReason.MODE_VIOLATION,
-                                  f"sort step {t} does not immediately follow an impact step")
+                    return VerificationReport(
+                        False, 0, FailureReason.MODE_VIOLATION, t,
+                        f"sort step {t} does not immediately follow an impact step")
 
     # each recorded state's running sums are taken once, in generalized_compare's order;
     # a ceiling is those sums plus eps, so ``s <= ceiling`` is generalized_compare's test
@@ -348,39 +345,42 @@ def verify_certificate(cert: Certificate, tol: Optional[float] = None) -> Verifi
         try:
             _apply_step(computed, step, eps)
         except MajorizeError as exc:
-            return failed(t, t, FailureReason.REPLAY_MISMATCH,
-                          f"step {t} is not applicable: {exc}")
+            return VerificationReport(False, t, FailureReason.REPLAY_MISMATCH, t,
+                                      f"step {t} is not applicable: {exc}")
         if not (tuple(computed) == recorded.values
                 or _close(computed, recorded.values, replay_slack)):
-            return failed(t, t, FailureReason.REPLAY_MISMATCH,
-                          f"replaying step {t} does not reproduce the recorded intermediate")
+            return VerificationReport(
+                False, t, FailureReason.REPLAY_MISMATCH, t,
+                f"replaying step {t} does not reproduce the recorded intermediate")
         sums = list(accumulate(recorded.values))
         sums_ceiling = list(map(add, sums, repeat(eps)))
         below = all(map(le, prev_sums, sums_ceiling))
         if not (below and any(map(gt, sums, prev_ceiling))):
-            return failed(t, t, FailureReason.CHAIN_NOT_STRICT,
-                          f"intermediate {t} does not strictly dominate its predecessor",
-                          None if below else _first_above(prev_sums, sums_ceiling))
+            return VerificationReport(
+                False, t, FailureReason.CHAIN_NOT_STRICT, t,
+                f"intermediate {t} does not strictly dominate its predecessor",
+                None if below else _first_above(prev_sums, sums_ceiling))
         if not all(map(le, sums, ceiling)):
-            return failed(t, t, FailureReason.NOT_SANDWICHED_BY_TARGET,
-                          f"intermediate {t} is not dominated by the target",
-                          _first_above(sums, ceiling))
+            return VerificationReport(
+                False, t, FailureReason.NOT_SANDWICHED_BY_TARGET, t,
+                f"intermediate {t} is not dominated by the target", _first_above(sums, ceiling))
         if cert.mode is CertificateMode.DECREASING and not isinstance(step, SortDesc):
             ranked = sorted(recorded.values, reverse=True)
             if not all(map(le, accumulate(ranked), ceiling)):
-                return failed(t, t, FailureReason.SORTED_INTERMEDIATE_NOT_BELOW_TARGET,
-                              f"descending rearrangement of intermediate {t} is not below the target",
-                              _first_above(accumulate(ranked), ceiling))
+                return VerificationReport(
+                    False, t, FailureReason.SORTED_INTERMEDIATE_NOT_BELOW_TARGET, t,
+                    f"descending rearrangement of intermediate {t} is not below the target",
+                    _first_above(accumulate(ranked), ceiling))
         if cert.mode is CertificateMode.TRANSFERS:
             if abs(sums[-1] - prev_sums[-1]) > replay_slack:
-                return failed(t, t, FailureReason.MODE_VIOLATION,
-                              f"total not conserved at step {t}")
+                return VerificationReport(False, t, FailureReason.MODE_VIOLATION, t,
+                                          f"total not conserved at step {t}")
         prev_sums, prev_ceiling = sums, sums_ceiling
 
     final = cert.final.values
     if not (final == cert.target.values or _close(final, cert.target.values, replay_slack)):
-        return failed(None, len(cert.steps), FailureReason.REPLAY_MISMATCH,
-                      "final state does not match the target")
+        return VerificationReport(False, len(cert.steps), FailureReason.REPLAY_MISMATCH, None,
+                                  "final state does not match the target")
     return VerificationReport(True, len(cert.steps))
 
 

@@ -475,6 +475,31 @@ def _float_pair_size(i: int) -> tuple[int, int]:
     return n, 2 * n
 
 
+def _oracle_tamperings(cert: Certificate, rng: random.Random) -> dict[str, Certificate]:
+    """bench/oracle.py's tamperings by kind: +1 on the amount of an impact step moving at
+    least 1, that step dropped with its state, or +1 on one recorded component."""
+    steps, inters = cert.steps, cert.intermediates
+
+    def tampered(new_steps, new_inters):
+        return Certificate(cert.source, cert.target, new_steps, new_inters, cert.mode)
+
+    out = {}
+    impact = [t for t, step in enumerate(steps) if not isinstance(step, SortDesc) and step.a >= 1]
+    if impact:
+        t = rng.choice(impact)
+        step = steps[t]
+        bigger = (Transfer(step.i, step.j, step.a + 1) if isinstance(step, Transfer)
+                  else Increase(step.i, step.a + 1))
+        out["amount"] = tampered(steps[:t] + (bigger,) + steps[t + 1:], inters)
+        out["drop"] = tampered(steps[:t] + steps[t + 1:], inters[:t] + inters[t + 1:])
+    if inters:
+        t, k = rng.randrange(len(inters)), rng.randrange(len(cert.source))
+        vals = list(inters[t].values)
+        vals[k] += 1
+        out["component"] = tampered(steps, inters[:t] + (make_array(vals),) + inters[t + 1:])
+    return out
+
+
 @pytest.mark.parametrize("produce,pair", [
     (decompose_general, lambda s, n, k: random_dominated_pair(s, n, k, integer_mode=False)),
     (decompose_transfers,
@@ -482,7 +507,9 @@ def _float_pair_size(i: int) -> tuple[int, int]:
     (decompose_decreasing, lambda s, n, k: decreasing_pair(s, n, k, integer_mode=False)),
 ], ids=["general", "transfers", "decreasing"])
 def test_float_certificates_verify_at_default_eps(produce, pair):
-    # float pairs exercise the n*eps replay slack that integer suites at eps = 0 never reach
+    # float pairs exercise the n*eps replay slack that integer suites at eps = 0 never reach;
+    # each of bench/oracle.py's tamperings must be rejected at the same eps
+    tampered = collections.Counter()
     for i in range(2000):
         x, y = pair(6000 + i, *_float_pair_size(i))
         cert = produce(x, y)
@@ -492,6 +519,10 @@ def test_float_certificates_verify_at_default_eps(produce, pair):
         again = Certificate.from_json(cert.to_json())
         assert again == cert
         assert verify_certificate(again).ok, i
+        for kind, bad in _oracle_tamperings(cert, random.Random(i)).items():
+            assert not verify_certificate(bad).ok, (i, kind)
+            tampered[kind] += 1
+    assert min(tampered.values()) >= 1000, tampered
 
 
 def test_rounding_can_add_steps_beyond_one_per_position():

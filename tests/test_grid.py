@@ -9,17 +9,20 @@ in every count.
 from __future__ import annotations
 
 import functools
+import random
 from collections import Counter, deque
 from itertools import accumulate, compress, count, product
 from operator import gt
 
 import pytest
+from exact_reference import exact_verdict, replay_step
 
 from majorize import (
     EXACT,
     Certificate,
     CertificateMode,
     DominanceOutcome,
+    FailureReason,
     Increase,
     NotDominated,
     SortDesc,
@@ -251,3 +254,95 @@ def test_searched_chains_verify():
 def test_decreasing_mode_certifies_wherever_the_search_finds_a_chain():
     # decreasing_outcomes() certified every other pair that has a chain
     assert not searched_chains()
+
+
+# ---------------------------------------------------------------------------
+# The exact reference verifier on the grid's certificates and their mutants
+# ---------------------------------------------------------------------------
+
+def grid_certificates():
+    """Every certificate the three producers write on the grid."""
+    for n, ex, ey in pairs():
+        if first_above(ex.sums, ey.sums) is not None:
+            continue
+        x, y = ex.array, ey.array
+        yield decompose_general(x, y, EXACT)
+        if ex.sums[-1] == ey.sums[-1]:
+            yield decompose_transfers(x, y, EXACT)
+        if ey.non_increasing:
+            try:
+                yield decompose_decreasing(x, y, EXACT)
+            except NotDominated:
+                pass
+
+
+# (change, whether every later state is recorded afresh by replaying)
+MUTATIONS = [("amount", False), ("index", False), ("component", False), ("drop", False),
+             ("amount", True), ("index", True), ("drop", True)]
+
+
+def mutant(cert: Certificate, mutation, rng: random.Random):
+    """A well-formed single-field mutant of ``cert``, or None where the change has no choice.
+
+    The change is an impact step's amount ±1, its i or j moved by one, one
+    recorded component ±1 (kept >= 0), or one step dropped with its state.
+    Recording the later states afresh leaves the replay intact, so that the
+    order checks decide.
+    """
+    change, rerecord = mutation
+    steps, inters = list(cert.steps), list(cert.intermediates)
+    impact = [t for t, step in enumerate(steps) if not isinstance(step, SortDesc)]
+    if not impact:
+        return None
+    n = len(cert.source)
+    t = rng.choice(impact)
+    step = steps[t]
+    i, a = step.i, step.a
+    if change == "amount":
+        amount = a + 1 if a <= 1 or rng.random() < 0.5 else a - 1
+        steps[t] = Transfer(i, step.j, amount) if isinstance(step, Transfer) else Increase(i, amount)
+    elif change == "index" and isinstance(step, Transfer):
+        j = step.j
+        moves = [(p, q) for p, q in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1))
+                 if 1 <= p < q <= n]
+        if not moves:
+            return None
+        steps[t] = Transfer(*rng.choice(moves), a)
+    elif change == "index":
+        if n == 1:
+            return None
+        steps[t] = Increase(rng.choice([p for p in (i - 1, i + 1) if 1 <= p <= n]), a)
+    elif change == "component":
+        t, k = rng.randrange(len(inters)), rng.randrange(n)
+        vals = list(inters[t].values)
+        vals[k] += 1 if vals[k] < 1 or rng.random() < 0.5 else -1
+        inters[t] = make_array(vals)
+    else:
+        t = rng.randrange(len(steps))
+        del steps[t], inters[t]
+    if rerecord:
+        state = inters[t - 1].values if t else cert.source.values
+        for s in range(t, len(steps)):
+            state = replay_step(state, steps[s])
+            if state is None:
+                return None
+            inters[s] = make_array(state)
+    return Certificate(cert.source, cert.target, tuple(steps), tuple(inters), cert.mode)
+
+
+def test_exact_reference_agrees_with_the_verifier_on_grid_certificates_and_mutants():
+    # every certificate, plus one mutant of each, its mutation taken in turn from MUTATIONS
+    rng = random.Random(7)
+    certificates = 0
+    reasons = Counter()
+    for c, cert in enumerate(grid_certificates()):
+        certificates += 1
+        changed = mutant(cert, MUTATIONS[c % len(MUTATIONS)], rng)
+        for checked in (cert,) if changed is None else (cert, changed):
+            report = verify_certificate(checked, EXACT)
+            got = (report.ok, report.reason, report.step_index, report.prefix_index)
+            assert got == exact_verdict(checked), checked
+            reasons[report.reason] += 1
+    assert certificates == 25_807 + 3_551 + 5_359
+    assert reasons[None] >= certificates, reasons
+    assert all(reasons[reason] > 0 for reason in FailureReason), reasons
