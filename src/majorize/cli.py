@@ -11,8 +11,8 @@ may be given instead.
 The environment variable ``MAJORIZE_EPS`` overrides the default comparison
 tolerance; ``--eps`` overrides both.
 
-Exit codes: 0 success (dominated/equal, valid certificate), 1 negative
-result (not dominated, invalid certificate, undefined curve), 2 input error.
+Exit codes: 0 success (dominated/equal, valid certificate), 1 negative result
+(not dominated, invalid certificate, undefined curve), 2 bad input or failed output.
 """
 
 from __future__ import annotations
@@ -407,10 +407,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a full or closed stdout fails here rather than at exit
+        return code
     except MajorizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, _NEGATIVE_RESULTS) else 2
+    except OSError as exc:  # every file error is a MajorizeError by now, so stdout failed
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        with open(os.devnull, "w") as null:  # so that the flush at exit drops what is left
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return 2
 
 
 if __name__ == "__main__":

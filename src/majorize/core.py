@@ -151,7 +151,7 @@ class Array(_Record):
         self.__post_init__()
 
     def __post_init__(self):
-        """Validate and normalize ``values``: every ``Array`` built goes through here."""
+        """Validate and normalize ``values`` (producer states from ``_float_array`` skip it)."""
         # From a list, tuple() allocates the exact size; from a bare iterator
         # it allocates 10 slots and resizes.  CPython keeps freed resized
         # tuples on its per-size free lists (up to 2000 each) until a full

@@ -33,6 +33,8 @@ import majorize.lorenz
 from majorize.cli import build_parser, main, parse_timeline_csv
 from majorize.core import EXACT, OUTCOME, plain_number
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -306,6 +308,45 @@ def test_write_failure_exits_two(tmp_path, capsys, command):
     assert err.startswith("error: cannot write /dev/full")
 
 
+def _cli_in_a_child(stdout, *argv):
+    """Exit code and stderr of ``python -m majorize.cli argv`` writing to ``stdout``."""
+    proc = subprocess.run([sys.executable, "-m", "majorize.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    return proc.returncode, proc.stderr
+
+
+@needs_dev_full
+def test_full_stdout_exits_two_with_one_line_and_no_traceback():
+    with open("/dev/full", "w") as full:
+        code, err = _cli_in_a_child(full, "check", "3,1", "2,2")
+    # one line: no traceback, and no "Exception ignored" from the flush at exit
+    assert (code, err.count("\n")) == (2, 1), err
+    assert err.startswith("error: cannot write stdout: [Errno 28]")
+
+
+def test_closed_pipe_on_stdout_exits_two_with_one_line_and_no_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # before the child starts, so its first write to stdout fails
+    try:
+        code, err = _cli_in_a_child(write_end, "decompose", ",".join(["1"] * 400),
+                                    ",".join(["3"] * 400))
+    finally:
+        os.close(write_end)
+    assert (code, err.count("\n")) == (2, 1), err
+    assert err.startswith("error: cannot write stdout: [Errno 32]")
+
+
+@needs_dev_full
+def test_full_stdout_in_process_drops_the_unwritten_text(monkeypatch, capsys):
+    # an in-process caller's failing stream is pointed at os.devnull, so closing it
+    # later writes nothing and raises nothing
+    with open("/dev/full", "w") as full:
+        monkeypatch.setattr(sys, "stdout", full)
+        assert main(["check", "3,1", "2,2"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write stdout: [Errno 28]")
+
+
 def test_step_cap_stops_a_sweep_that_makes_no_progress(monkeypatch, capsys):
     monkeypatch.setattr(majorize.decompose, "_apply_step", lambda vals, step, eps: None)
     with pytest.raises(MajorizeError, match="^decomposition did not converge"):
@@ -410,15 +451,23 @@ def test_decreasing_target_order_is_exact_for_producer_and_verifier(tmp_path, ca
     assert "not non-increasing" in out
 
 
-@pytest.mark.xfail(strict=True, reason="near 1e16 a transfer can lower a later prefix sum by "
-                                       "rounding, so decompose writes a chain that is not strict")
-def test_certificate_near_1e16_verifies(tmp_path, capsys):
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="float running sums can round a transfer into lowering a later prefix "
+                          "sum, so decompose writes a chain that is not strict (ROADMAP item 2)")
+@pytest.mark.parametrize("left,right,eps", [
+    ("3,10000000000000004,3", "10000000000000008,10000000000000008,0", []),
+    # verify --eps 0 rejects its certificate with ChainNotStrict at step 2
+    ("0.007842370298633914,2.768796171700787,92.15163393100698",
+     "45.860670938706136,87.786790373901,3.1846480408982525", ["--eps", "0"]),
+], ids=["1e16", "eps0-floats"])
+def test_certificate_near_1e16_verifies(tmp_path, capsys, left, right, eps):
+    # decompose refuses the pair, or writes a certificate that verify accepts at the same eps
     cert_file = tmp_path / "r.json"
-    code, _, _ = run(capsys, "decompose", "3,10000000000000004,3",
-                     "10000000000000008,10000000000000008,0", "--out", str(cert_file))
-    assert code == 0
-    code, out, _ = run(capsys, "verify", "--cert", str(cert_file))
-    assert (code, out) == (0, "certificate OK (3 steps checked)\n")
+    code, _, _ = run(capsys, "decompose", left, right, "--out", str(cert_file), *eps)
+    assert code in (0, 1, 2)
+    if code == 0:
+        code, out, _ = run(capsys, "verify", "--cert", str(cert_file), *eps)
+        assert code == 0, out
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +530,18 @@ def test_verify_reports_a_step_the_replay_rejects(tmp_path, capsys, source, step
                                      "steps": [step], "intermediates": [source]}))
     code, out, _ = run(capsys, "verify", "--cert", str(cert_file))
     assert (code, out) == (1, line + "\n")
+
+
+def test_verify_rejects_a_recorded_state_that_is_not_its_steps_replay(tmp_path, capsys):
+    # Increase(1, 1e-10) raises nothing beyond eps; its recorded state is nudged within
+    # n * eps of the replay, so that the recorded chain would pass as strict
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(
+        '{"mode": "general", "source": [1, 0], "target": [2, 0], "steps": '
+        '[{"type": "increase", "i": 1, "a": 1e-10}, {"type": "increase", "i": 1, "a": 0.9999999999}],'
+        ' "intermediates": [[1.0000000016, 0], [2, 0]]}')
+    code, out, _ = run(capsys, "verify", "--cert", str(cert_file), "--eps", "1e-9")
+    assert (code, out) == (1, _NOT_REPRODUCED + "\n")
 
 
 def test_verify_non_finite_step_index_exits_two(tmp_path, capsys):
@@ -1047,9 +1108,6 @@ def test_help_matches_a_freshly_built_parser_at_any_width(capsys, monkeypatch, a
 # ---------------------------------------------------------------------------
 # start-up cost and the benchmark's trace hooks
 # ---------------------------------------------------------------------------
-
-SRC = Path(__file__).resolve().parent.parent / "src"
-
 
 def test_importing_the_cli_loads_no_heavy_stdlib_modules():
     # dataclasses pulls in inspect, ast, dis and tokenize; statistics pulls in
