@@ -330,6 +330,17 @@ def _cmd_gen(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose help, unlike argparse's, lets a failed write raise.
+
+    Subparsers are built with the class of their parent, so ``verify --help``
+    behaves the same.
+    """
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``majorize`` parser, built on the first call and shared after it.
@@ -339,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     usage widths follow ``COLUMNS`` when printed.  ``build_parser.__wrapped__()``
     builds a separate parser.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="majorize",
         description="Dominance checks, step certificates, and Lorenz/Gini data "
                     "for non-negative arrays and timelines.",
@@ -403,11 +414,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        code = args.func(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # after --help, or a usage error on stderr
+            code = int(exc.code or 0)
+        else:
+            code = args.func(args)
         sys.stdout.flush()  # a full or closed stdout fails here rather than at exit
         return code
     except MajorizeError as exc:

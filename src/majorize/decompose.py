@@ -28,7 +28,7 @@ import json
 import random
 from enum import Enum
 from itertools import accumulate, compress, count, islice, repeat
-from operator import add, gt, le, ne
+from operator import add, gt, is_not, le, ne
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import (
@@ -170,19 +170,20 @@ class Certificate(_Record):
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
         try:
-            data = json.loads(text)
+            data = json.loads(text, parse_float=_FloatMemo().__getitem__)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise MalformedCertificate(f"not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise MalformedCertificate("certificate JSON must be an object")
         try:
             mode = CertificateMode(data["mode"])
-            source = make_array(_numbers(data["source"], "source"))
+            raw_source = data["source"]
+            source = make_array(_numbers(raw_source, "source"))
             target = make_array(_numbers(data["target"], "target"))
             # built from lists, as in Array, so that no tuple is resized
             steps = tuple([_step_from_dict(s) for s in _array(data["steps"], "steps")])
-            intermediates = tuple([make_array(_numbers(z, "intermediate"))
-                                   for z in _array(data["intermediates"], "intermediates")])
+            intermediates = tuple(_intermediates(_array(data["intermediates"], "intermediates"),
+                                                 raw_source, source.values))
             return cls(source, target, steps, intermediates, mode)
         except MalformedCertificate:
             raise
@@ -203,6 +204,43 @@ def _numbers(value, what: str) -> list:
     if not _JSON_NUMBER_TYPES.issuperset(map(type, _array(value, what))):
         raise MalformedCertificate(f"{what} must hold only numbers")
     return value
+
+
+class _FloatMemo(dict):
+    """``float(text)`` by number text: each text is parsed once and its repeats share one object."""
+
+    def __missing__(self, text: str) -> float:
+        value = self[text] = float(text)
+        return value
+
+
+def _intermediates(rows: list, raw: list, values: tuple[float, ...]) -> list[Array]:
+    """Each row as ``make_array(_numbers(row, "intermediate"))``, decoded from the row before.
+
+    ``raw`` is the source's JSON list and ``values`` its floats.  A chain
+    state differs from the one before in a position or two, and ``_FloatMemo``
+    gives repeated float texts one object, so only the positions whose object
+    is not the row before's are type-checked and converted: by identity, as
+    ``True == 1``.  A row that is not a list of the source's length, and every
+    row after it, is decoded whole, so the errors and their order stay
+    ``make_array``'s.
+    """
+    arrays: list[Array] = []
+    n = len(raw)
+    for row in rows:
+        if type(row) is not list or len(row) != n:
+            break
+        changed = list(compress(count(), map(is_not, row, raw)))
+        if not _JSON_NUMBER_TYPES.issuperset([type(row[k]) for k in changed]):
+            raise MalformedCertificate("intermediate must hold only numbers")
+        state = list(values)
+        for k in changed:
+            state[k] = float(row[k])
+        values = tuple(state)
+        arrays.append(_float_array(values))  # Array's errors, from its first bad component
+        raw = row
+    arrays += [make_array(_numbers(row, "intermediate")) for row in rows[len(arrays):]]
+    return arrays
 
 
 def state_texts(states: Iterable[Array]) -> Iterator[list[str]]:
@@ -330,11 +368,10 @@ def verify_certificate(cert: Certificate, tol: Optional[float] = None) -> Verifi
                         False, 0, FailureReason.MODE_VIOLATION, t,
                         f"sort step {t} does not immediately follow an impact step")
 
-    # each recorded state's running sums are taken once, in generalized_compare's order;
-    # a ceiling is those sums plus eps, so ``s <= ceiling`` is generalized_compare's test
+    # running sums are taken in generalized_compare's order; a ceiling is those sums
+    # plus eps, so ``s <= ceiling`` is generalized_compare's test
     ceiling = list(map(add, accumulate(cert.target.values), repeat(eps)))
-    prev_sums = list(accumulate(cert.source.values))
-    prev_ceiling = list(map(add, prev_sums, repeat(eps)))
+    sums = list(accumulate(cert.source.values))  # of the last state checked
     computed = list(cert.source.values)  # the replay's working list
     for t, (step, recorded) in enumerate(zip(cert.steps, cert.intermediates)):
         try:
@@ -342,34 +379,41 @@ def verify_certificate(cert: Certificate, tol: Optional[float] = None) -> Verifi
         except MajorizeError as exc:
             return VerificationReport(False, t, FailureReason.REPLAY_MISMATCH, t,
                                       f"step {t} is not applicable: {exc}")
-        if tuple(computed) != recorded.values:
+        values = recorded.values
+        if tuple(computed) != values:
             return VerificationReport(
                 False, t, FailureReason.REPLAY_MISMATCH, t,
                 f"replaying step {t} does not reproduce the recorded intermediate")
-        sums = list(accumulate(recorded.values))
-        sums_ceiling = list(map(add, sums, repeat(eps)))
-        below = all(map(le, prev_sums, sums_ceiling))
-        if not (below and any(map(gt, sums, prev_ceiling))):
+        # The state is its step's replay, so its running sums before the step's first
+        # position are the last state's, already checked: only the sums from index
+        # ``lo`` on are taken and checked.  Step 0 (the source was never checked
+        # against the target) and a sort are checked whole.
+        lo = 0 if t == 0 or isinstance(step, SortDesc) else max(step.i - 2, 0)
+        before = sums[lo:]
+        after = list(accumulate(islice(values, lo + 1, None), initial=sums[lo] if lo else values[0]))
+        below = all(map(le, before, map(add, after, repeat(eps))))
+        if not (below and any(map(gt, after, map(add, before, repeat(eps))))):
             return VerificationReport(
                 False, t, FailureReason.CHAIN_NOT_STRICT, t,
                 f"intermediate {t} does not strictly dominate its predecessor",
-                None if below else _first_above(prev_sums, sums_ceiling))
-        if not all(map(le, sums, ceiling)):
+                None if below else lo + _first_above(before, map(add, after, repeat(eps))))
+        if not all(map(le, after, ceiling[lo:])):
             return VerificationReport(
                 False, t, FailureReason.NOT_SANDWICHED_BY_TARGET, t,
-                f"intermediate {t} is not dominated by the target", _first_above(sums, ceiling))
+                f"intermediate {t} is not dominated by the target",
+                lo + _first_above(after, ceiling[lo:]))
         if cert.mode is CertificateMode.DECREASING and not isinstance(step, SortDesc):
-            ranked = sorted(recorded.values, reverse=True)
+            ranked = sorted(values, reverse=True)
             if not all(map(le, accumulate(ranked), ceiling)):
                 return VerificationReport(
                     False, t, FailureReason.SORTED_INTERMEDIATE_NOT_BELOW_TARGET, t,
                     f"descending rearrangement of intermediate {t} is not below the target",
                     _first_above(accumulate(ranked), ceiling))
         if cert.mode is CertificateMode.TRANSFERS:
-            if abs(sums[-1] - prev_sums[-1]) > replay_slack:
+            if abs(after[-1] - before[-1]) > replay_slack:
                 return VerificationReport(False, t, FailureReason.MODE_VIOLATION, t,
                                           f"total not conserved at step {t}")
-        prev_sums, prev_ceiling = sums, sums_ceiling
+        sums[lo:] = after
 
     if any(abs(p - q) > replay_slack for p, q in zip(cert.final.values, cert.target.values)):
         return VerificationReport(False, len(cert.steps), FailureReason.REPLAY_MISMATCH, None,

@@ -122,4 +122,6 @@ def gini(x: Array) -> float:
     area = 0.0
     for (a0, o0), (a1, o1) in zip(pts, pts[1:]):
         area += (o0 + o1) * (a1 - a0)
-    return area - 1.0  # area already carries the factor 2 from the trapezoid rule
+    # area already carries the factor 2 from the trapezoid rule; rounding can take a
+    # flat curve's area just below 1, so the index is kept in its range
+    return max(area - 1.0, 0.0)

@@ -308,11 +308,11 @@ def test_write_failure_exits_two(tmp_path, capsys, command):
     assert err.startswith("error: cannot write /dev/full")
 
 
-def _cli_in_a_child(stdout, *argv):
+def _cli_in_a_child(stdout, *argv, **env):
     """Exit code and stderr of ``python -m majorize.cli argv`` writing to ``stdout``."""
     proc = subprocess.run([sys.executable, "-m", "majorize.cli", *argv], stdout=stdout,
                           stderr=subprocess.PIPE, text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+                          env=dict(os.environ, PYTHONPATH=str(SRC), **env))
     return proc.returncode, proc.stderr
 
 
@@ -321,6 +321,18 @@ def test_full_stdout_exits_two_with_one_line_and_no_traceback():
     with open("/dev/full", "w") as full:
         code, err = _cli_in_a_child(full, "check", "3,1", "2,2")
     # one line: no traceback, and no "Exception ignored" from the flush at exit
+    assert (code, err.count("\n")) == (2, 1), err
+    assert err.startswith("error: cannot write stdout: [Errno 28]")
+
+
+@needs_dev_full
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]], ids=" ".join)
+def test_help_to_a_full_stdout_exits_two_with_one_line(argv, unbuffered):
+    # argparse's own help swallows a failed write and exits 0 (unbuffered), or leaves
+    # it to the flush at exit: "Exception ignored" and exit 120 (buffered)
+    with open("/dev/full", "w") as full:
+        code, err = _cli_in_a_child(full, *argv, PYTHONUNBUFFERED=unbuffered)
     assert (code, err.count("\n")) == (2, 1), err
     assert err.startswith("error: cannot write stdout: [Errno 28]")
 
@@ -542,6 +554,18 @@ def test_verify_rejects_a_recorded_state_that_is_not_its_steps_replay(tmp_path, 
         ' "intermediates": [[1.0000000016, 0], [2, 0]]}')
     code, out, _ = run(capsys, "verify", "--cert", str(cert_file), "--eps", "1e-9")
     assert (code, out) == (1, _NOT_REPRODUCED + "\n")
+
+
+def test_verify_checks_step_zero_against_the_target_from_prefix_one(tmp_path, capsys):
+    # the step raises only prefix 3, but the source's prefix 1 is already above the
+    # target's, and the source is checked against the target only at step 0
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(
+        '{"mode": "general", "source": [3, 0, 0], "target": [2, 1, 1], "steps": '
+        '[{"type": "increase", "i": 3, "a": 1}], "intermediates": [[3, 0, 1]]}')
+    code, out, _ = run(capsys, "verify", "--cert", str(cert_file), "--eps", "0")
+    assert (code, out) == (1, "certificate INVALID: NotSandwichedByTarget at step 0, prefix 1: "
+                              "intermediate 0 is not dominated by the target\n")
 
 
 def test_verify_non_finite_step_index_exits_two(tmp_path, capsys):

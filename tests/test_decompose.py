@@ -37,7 +37,7 @@ from majorize import (
     verify_certificate,
 )
 from majorize.core import _apply_step, plain_number
-from majorize.decompose import _first_above
+from majorize.decompose import _array, _first_above, _numbers, _step_from_dict
 from exact_reference import exact_verdict
 from genpairs import decreasing_pair, sized
 
@@ -806,6 +806,81 @@ def test_from_json_rejects_non_objects():
         Certificate.from_json("[1, 2, 3]")
     with pytest.raises(MalformedCertificate):
         Certificate.from_json("{not json")
+
+
+def _reference_from_json(text: str) -> Certificate:
+    """``Certificate.from_json`` with every intermediate decoded whole, row by row."""
+    try:
+        data = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise MalformedCertificate(f"not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise MalformedCertificate("certificate JSON must be an object")
+    try:
+        mode = CertificateMode(data["mode"])
+        source = make_array(_numbers(data["source"], "source"))
+        target = make_array(_numbers(data["target"], "target"))
+        steps = tuple([_step_from_dict(s) for s in _array(data["steps"], "steps")])
+        intermediates = tuple([make_array(_numbers(z, "intermediate"))
+                               for z in _array(data["intermediates"], "intermediates")])
+        return Certificate(source, target, steps, intermediates, mode)
+    except MalformedCertificate:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise MalformedCertificate(f"bad certificate data: {exc}") from exc
+
+
+def _decoded(decode, text: str):
+    """The certificate with the ``repr`` of each value, or the error's class and message."""
+    try:
+        cert = decode(text)
+    except MajorizeError as exc:
+        return type(exc), str(exc)
+    return cert, [repr(v) for z in (cert.source, cert.target, *cert.intermediates) for v in z]
+
+
+# entries a certificate must not hold, or must decode as written; where the row before
+# holds an equal number (``True == 1``, ``-0.0 == 0``), a diff by equality would miss them
+_ODD_ENTRIES = st.sampled_from([
+    True, False, "1", None, -1, -0.5, float("nan"), float("inf"), float("-inf"), [1], [],
+    10 ** 400, -0.0, 0, 1, 1.0, 2.5, 1e308,
+])
+_ODD_ROWS = st.sampled_from([[], None, 3, "row", {}, [[1]]])
+
+
+@st.composite
+def odd_certificate_texts(draw):
+    """An honest certificate's JSON with odd entries and rows put in at random places."""
+    n = draw(st.integers(1, 6))
+    x, y = random_dominated_pair(draw(st.integers(0, 10 ** 6)), n, draw(st.integers(0, 2 * n)),
+                                 integer_mode=draw(st.booleans()))
+    data = json.loads(decompose_general(x, y).to_json())
+    rows = data["intermediates"]
+    for _ in range(draw(st.integers(0, 3))):
+        where = draw(st.sampled_from(["entry", "entry", "short", "row", "source"]))
+        if where == "source":
+            data["source"][draw(st.integers(0, n - 1))] = draw(_ODD_ENTRIES)
+        elif rows:
+            t = draw(st.integers(0, len(rows) - 1))
+            row = rows[t]
+            if where == "row" or not (isinstance(row, list) and row):
+                rows[t] = draw(_ODD_ROWS)
+            elif where == "entry":
+                row[draw(st.integers(0, len(row) - 1))] = draw(_ODD_ENTRIES)
+            else:
+                del row[draw(st.integers(0, len(row) - 1))]
+    return json.dumps(data)
+
+
+@settings(max_examples=400, deadline=None)
+@given(odd_certificate_texts())
+@example('{"mode": "general", "source": [3, 1, 0], "target": [3, 1, 1], "steps": '
+         '[{"type": "increase", "i": 3, "a": 1}], "intermediates": [[3, true, 1]]}')
+@example('{"mode": "general", "source": [3, 0, 0], "target": [3, 1, 1], "steps": '
+         '[{"type": "increase", "i": 2, "a": 1}, {"type": "increase", "i": 3, "a": 1}], '
+         '"intermediates": [[3, 1, 0], [3, true, 1]]}')
+def test_from_json_decodes_what_the_per_row_decoder_decodes(text):
+    assert _decoded(Certificate.from_json, text) == _decoded(_reference_from_json, text)
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,13 @@ def test_gini_is_zero_on_constant_arrays(values):
     assert gini(make_array(values)) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("value", [1, 0.1, 3.7])
+def test_gini_of_a_constant_array_is_never_negative(value):
+    # the trapezoid sum of fifteen 1s rounds to 1 - 2**-53 and gave -1.1e-16
+    ginis = [gini(make_array([value] * n)) for n in range(1, 201)]
+    assert all(0.0 <= g <= 1e-12 for g in ginis), min(ginis)
+
+
 def test_gini_rejects_zero_total():
     with pytest.raises(ZeroTotal):
         gini(make_array([0, 0, 0]))
