@@ -31,6 +31,7 @@ from .core import (
     Array,
     DominanceOutcome,
     MajorizeError,
+    _float_array,
     as_eps,
     dominance_matrix,
     dominates_or_equal,
@@ -75,7 +76,7 @@ def parse_timeline_csv(text: str) -> dict[str, Array]:
     num = 0
     try:
         for num, row in enumerate(csv.reader(io.StringIO(text)), start=1):
-            if any(cell.strip() for cell in row):
+            if "".join(row).strip():  # some cell holds more than whitespace
                 rows.append((num, row))
     except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
         raise MajorizeError(f"row {num + 1}: {exc}") from exc
@@ -94,6 +95,18 @@ def parse_timeline_csv(text: str) -> dict[str, Array]:
         rows = rows[1:]
         if not rows:
             raise MajorizeError("timeline CSV has a header but no data rows")
+
+    # The table is checked whole: one width, distinct ids, and every row through
+    # _float_array (float() and Array's checks raise ValueError).  Only a table
+    # that fails takes the per-row checks below, which name its first bad row.
+    ids = [row[0].strip() for _, row in rows]
+    n_values = len(rows[0][1]) - 1
+    if (n_values >= 1 and n_labels in (None, n_values) and len(set(ids)) == len(ids)
+            and {len(row) for _, row in rows} == {n_values + 1}):
+        try:
+            return dict(zip(ids, [_float_array(tuple(map(float, row[1:]))) for _, row in rows]))
+        except ValueError:
+            pass
 
     table: dict[str, Array] = {}
     width: Optional[int] = None
@@ -294,15 +307,18 @@ def _cmd_batch(args) -> int:
     tol = _tolerance(args)
     table = _load_table(args)
     ids = list(table)
+    symbol = _OUTCOME_SYMBOL.__getitem__
     # generalized_compare is passed from this module, where bench/run.py traces it
-    matrix = [[_OUTCOME_SYMBOL[outcome] for outcome in row] for row in dominance_matrix(
+    rows = ["\t".join(map(symbol, row)) for row in dominance_matrix(
         list(table.values()), tol, args.mode == "classical", generalized_compare)]
     if args.out:
-        report = {"mode": args.mode, "eps": tol, "ids": ids, "matrix": matrix}
-        _write_pieces(_open_out(args.out), [json.dumps(report, ensure_ascii=False) + "\n"])
-    print("\t".join(["id", *ids]))
-    for eid, row in zip(ids, matrix):
-        print("\t".join([eid, *row]))
+        # json.dumps(report, ensure_ascii=False), with the matrix joined here:
+        # json escapes the ids, and the four symbols need no escape
+        head = json.dumps({"mode": args.mode, "eps": tol, "ids": ids}, ensure_ascii=False)
+        matrix = ", ".join(['["' + row.replace("\t", '", "') + '"]' for row in rows])
+        _write_pieces(_open_out(args.out), [head[:-1], ', "matrix": [', matrix, "]}\n"])
+    sys.stdout.write("\t".join(["id", *ids]) + "\n"
+                     + "".join([f"{eid}\t{row}\n" for eid, row in zip(ids, rows)]))
     return 0
 
 

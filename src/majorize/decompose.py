@@ -171,7 +171,7 @@ class Certificate(_Record):
     def from_json(cls, text: str) -> "Certificate":
         try:
             data = json.loads(text, parse_float=_FloatMemo().__getitem__)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an int over the digit limit
             raise MalformedCertificate(f"not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise MalformedCertificate("certificate JSON must be an object")

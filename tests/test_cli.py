@@ -1,10 +1,12 @@
 import argparse
 import contextlib
+import csv
 import io
 import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -23,6 +25,7 @@ from majorize import (
     decompose_decreasing,
     decompose_general,
     decompose_transfers,
+    dominance_matrix,
     generalized_compare,
     make_array,
     random_dominated_pair,
@@ -591,6 +594,7 @@ def test_verify_malformed_file_exits_two(tmp_path, capsys):
 
 
 HUGE = "1" + "0" * 400  # an integer no float can hold
+OVER_DIGIT_LIMIT = "1" * 5000  # past CPython's 4,300-digit int conversion limit, where it has one
 
 
 @pytest.mark.parametrize("text", [
@@ -608,14 +612,23 @@ HUGE = "1" + "0" * 400  # an integer no float can hold
     '{"mode": "general", "source": [1, 1], "target": [2, 1],'
     ' "steps": [{"type": "increase", "i": 1, "a": %s}], "intermediates": [[2, 1]]}' % HUGE,
     "[" * 100_000,
+    '{"mode": "general", "source": [%s, 1], "target": [1, 1], "steps": [], "intermediates": []}'
+    % OVER_DIGIT_LIMIT,
+    '{"mode": "general", "source": [1, 1], "target": [1, %s], "steps": [], "intermediates": []}'
+    % OVER_DIGIT_LIMIT,
+    '{"mode": "general", "source": [1, 1], "target": [2, 1],'
+    ' "steps": [{"type": "increase", "i": 1, "a": 1}], "intermediates": [[%s, 1]]}' % OVER_DIGIT_LIMIT,
+    '{"mode": "general", "source": [1, 1], "target": [2, 1],'
+    ' "steps": [{"type": "increase", "i": %s, "a": 1}], "intermediates": [[2, 1]]}' % OVER_DIGIT_LIMIT,
 ], ids=["string-source", "object-arrays", "object-steps", "bool-component", "bool-index",
-        "bool-amount", "bool-intermediate", "huge-component", "huge-amount", "deep-nesting"])
+        "bool-amount", "bool-intermediate", "huge-component", "huge-amount", "deep-nesting",
+        "digit-limit-source", "digit-limit-target", "digit-limit-intermediate", "digit-limit-index"])
 def test_verify_wrongly_typed_certificate_exits_two(tmp_path, capsys, text):
     cert_file = tmp_path / "cert.json"
     cert_file.write_text(text)
     code, out, err = run(capsys, "verify", "--cert", str(cert_file))
-    assert code == 2, out
-    assert err.startswith("error:")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("target,intermediate", [([2, 1, 0], [2, 1]), ([2, 1], [2, 1, 0])],
@@ -649,8 +662,28 @@ def test_verify_undecodable_file_exits_two(tmp_path, capsys):
     assert "cannot read" in err
 
 
+class _NumberText:
+    """A JSON number given by its text, such as an int past the digit limit that ``json.dumps`` refuses."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __repr__(self) -> str:
+        return f"<{len(self.text)}-character number>"
+
+
+def _dumps(value) -> str:
+    """``json.dumps(value)``, with each ``_NumberText`` written as its bare text."""
+    text = json.dumps(value, default=lambda number: "\0" + number.text + "\0")
+    return re.sub(r'"\\u0000([-+.\de]*)\\u0000"', r"\1", text)
+
+
+_NUMBER_TEXTS = st.builds(
+    lambda sign, digits, tail: _NumberText(sign + "1" * digits + tail),
+    st.sampled_from(["", "-"]), st.integers(4301, 6000), st.sampled_from(["", ".5", "e3"]),
+)
 _JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4) | _NUMBER_TEXTS,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=8,
 )
@@ -673,8 +706,12 @@ def test_verify_survives_any_json_value_in_any_field(fuzz_file, field, value):
         data["steps"][0][field[5:]] = value
     else:
         data[field] = value
-    fuzz_file.write_text(json.dumps(data))
+    fuzz_file.write_text(_dumps(data))
     assert main(["verify", "--cert", str(fuzz_file)]) in (0, 1, 2)
+
+
+def test_number_texts_are_written_bare():
+    assert _dumps({"a": [1, _NumberText("-" + "1" * 4301 + ".5")]}) == '{"a": [1, -%s.5]}' % ("1" * 4301)
 
 
 # ---------------------------------------------------------------------------
@@ -909,6 +946,8 @@ LONG_CELL = "1" * 131_073  # one past csv's default field size limit
     ("id,p1,p2\na,1,2,3\n", "row 2: 3 values but 2 period labels"),
     ("", "empty"),
     pytest.param(f"a,1,2\nb,1,{LONG_CELL}\n", "row 2: field larger than field limit", id="long-cell"),
+    ("a,1,2\nb,1e308,1e308\n", "row 2: the components sum past the largest float"),
+    ("a,1,2\nb,1,nan\n", "row 2: component 2 must be a finite non-negative number, got nan"),
 ])
 def test_batch_rejects_bad_csv(tmp_path, capsys, content, fragment):
     table = tmp_path / "t.csv"
@@ -916,6 +955,40 @@ def test_batch_rejects_bad_csv(tmp_path, capsys, content, fragment):
     code, _, err = run(capsys, "batch", "--input", str(table))
     assert code == 2
     assert fragment in err
+
+
+def _reference_batch(table, mode, eps):
+    """Stdout and ``--out`` text of ``batch``, encoded cell by cell as each once was."""
+    ids = list(table)
+    matrix = [[_SYMBOL[outcome] for outcome in row]
+              for row in dominance_matrix(list(table.values()), eps, mode == "classical")]
+    stdout = "".join("\t".join(cells) + "\n" for cells in [["id", *ids]] + [
+        [eid, *row] for eid, row in zip(ids, matrix)])
+    report = {"mode": mode, "eps": eps, "ids": ids, "matrix": matrix}
+    return stdout, json.dumps(report, ensure_ascii=False) + "\n"
+
+
+_IDS = st.lists(st.text(alphabet='ab"\\,é≺', min_size=1, max_size=4), min_size=1, max_size=12, unique=True)
+
+
+@given(ids=_IDS, n=st.integers(1, 4), data=st.data(), mode=st.sampled_from(["general", "classical"]),
+       eps=st.sampled_from([0.0, 1e-9]))
+@settings(max_examples=150, deadline=None)
+def test_batch_writes_what_the_cell_by_cell_encoder_writes(fuzz_file, ids, n, data, mode, eps):
+    values = st.integers(0, 3) | st.sampled_from([0.1, 0.2, 0.3, 1e-9, 2.5])
+    rows = [data.draw(st.lists(values, min_size=n, max_size=n)) for _ in ids]
+    table, report = fuzz_file.with_name("table.csv"), fuzz_file.with_name("report.json")
+    with open(table, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([eid, *map(repr, row)] for eid, row in zip(ids, rows))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["batch", "--input", str(table), "--mode", mode, "--eps", repr(eps),
+                     "--out", str(report)])
+    assert code == 0
+    expected_stdout, expected_report = _reference_batch(
+        {eid: make_array(row) for eid, row in zip(ids, rows)}, mode, eps)
+    assert stdout.getvalue() == expected_stdout
+    assert report.read_bytes() == expected_report.encode("utf-8")
 
 
 _TOKENS = st.sampled_from(["a", "b", "id", "1,2", "0,0", "-1", "--eps", ""]) | st.text(max_size=12)
@@ -1024,6 +1097,91 @@ def test_timeline_parse_without_header():
     table = parse_timeline_csv("b,0.1,2.5\na,1.0,0.3\n")
     assert table == {"b": make_array([0.1, 2.5]), "a": make_array([1.0, 0.3])}
     assert list(table) == ["b", "a"]
+
+
+def _reference_parse(text):
+    """``parse_timeline_csv`` as it was before its bulk check: each row checked and built alone."""
+    rows = []
+    num = 0
+    try:
+        for num, row in enumerate(csv.reader(io.StringIO(text)), start=1):
+            if any(cell.strip() for cell in row):
+                rows.append((num, row))
+    except csv.Error as exc:
+        raise MajorizeError(f"row {num + 1}: {exc}") from exc
+    if not rows:
+        raise MajorizeError("empty timeline CSV")
+    n_labels = None
+    first_row = rows[0][1]
+    is_header = len(first_row) >= 2 and (
+        first_row[0].strip().lower() == "id" or any(not majorize.cli._is_number(c) for c in first_row[1:])
+    )
+    if is_header:
+        n_labels = len(first_row) - 1
+        rows = rows[1:]
+        if not rows:
+            raise MajorizeError("timeline CSV has a header but no data rows")
+    table = {}
+    width = None
+    for num, row in rows:
+        if len(row) < 2:
+            raise MajorizeError(f"row {num}: expected an id and at least one value")
+        eid = row[0].strip()
+        if eid in table:
+            raise MajorizeError(f"row {num}: duplicate id {eid!r}")
+        if width is None:
+            width = len(row) - 1
+            if n_labels is not None and n_labels != width:
+                raise MajorizeError(f"row {num}: {width} values but {n_labels} period labels")
+        elif len(row) - 1 != width:
+            raise MajorizeError(f"row {num}: {len(row) - 1} values, expected {width}")
+        try:
+            table[eid] = make_array([float(c) for c in row[1:]])
+        except ValueError as exc:
+            raise MajorizeError(f"row {num}: {exc}") from exc
+    return table
+
+
+def _parsed(parse, text):
+    """Each id with its values as ``float.hex`` texts (bit for bit, -0.0 apart), or the error text."""
+    try:
+        table = parse(text)
+    except MajorizeError as exc:
+        return str(exc)
+    assert all(type(arr) is Array for arr in table.values())
+    return [(eid, [v.hex() for v in arr.values]) for eid, arr in table.items()]
+
+
+_CSV_CELLS = st.sampled_from(["0", "1", "2.5", "-0.0", " 3 ", '"4"', "1e308", "5e-324", "1_0",
+                              "-1", "nan", "inf", "zebra", "", " "])
+_CSV_IDS = st.sampled_from(["a", "b", "c", " a ", "id", '"x,y"', '"q""t"', "é", ""])
+_CSV_LINES = st.lists(
+    st.builds(lambda eid, cells: ",".join([eid, *cells]), _CSV_IDS, st.lists(_CSV_CELLS, min_size=1, max_size=4))
+    | st.sampled_from(["", ",", " , ", "g", "a,1,2", "b,0,3", "c,1", "d,1,2,3", "e,2.5,-0.0",
+                       'f, 3 ,"4"', "a,1e308,1e308"]),
+    max_size=8,
+) | st.integers(1, 4).flatmap(  # tables that pass, but for an odd value
+    lambda width: st.lists(st.lists(_CSV_CELLS.filter(majorize.cli._is_number) | st.floats(0),
+                                    min_size=width, max_size=width), min_size=1, max_size=8)
+).map(lambda rows: [",".join([f"r{k}", *map(str, row)]) for k, row in enumerate(rows)])
+
+
+@given(bom=st.sampled_from(["", "\ufeff"]),
+       header=st.sampled_from(["", "as-wide", "id,t1,t2", "ID,2021,2022,2023", "name,p1,p2", "id,1"]),
+       lines=_CSV_LINES, newline=st.sampled_from(["\n", "\r\n"]), end=st.booleans())
+@example(bom="", header="", lines=["a,1,2", "b,1e308,1e308"], newline="\n", end=True)
+@example(bom="", header="id,t1,t2", lines=["a,1,-0.0", "b,nan,1"], newline="\r\n", end=False)
+@settings(max_examples=500, deadline=None)
+def test_bulk_checked_parse_matches_the_per_row_parse(bom, header, lines, newline, end):
+    if header == "as-wide":  # as many labels as the first line has commas
+        header = "id" + ",t" * (lines[0].count(",") if lines else 1)
+    text = bom + newline.join([header, *lines] if header else lines) + (newline if end else "")
+    assert _parsed(parse_timeline_csv, text) == _parsed(_reference_parse, text)
+
+
+def test_bulk_checked_parse_keeps_negative_zero():
+    table = parse_timeline_csv("a,-0.0,1\nb,2,0\n")
+    assert [math.copysign(1.0, v) for v in table["a"].values] == [-1.0, 1.0]
 
 
 # ---------------------------------------------------------------------------
