@@ -13,9 +13,11 @@ to 2**53 exactly).
 from __future__ import annotations
 
 import math
+from array import array
 from enum import Enum
+from functools import cached_property
 from itertools import accumulate
-from operator import ge
+from operator import ge, gt
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 
@@ -190,6 +192,30 @@ class Array(_Record):
         v = self.values
         return all(map(ge, v, v[1:]))
 
+    # The memos below live in the instance __dict__, beside ``values``: they
+    # are not fields, so equality, hashing, repr, pickle and copies ignore them.
+
+    @cached_property
+    def _sums(self) -> array:
+        """The running sums of ``values``, left to right, computed on first use."""
+        return array("d", accumulate(self.values))
+
+    def _ceilings(self, eps: float) -> array:
+        """``_sums`` plus eps, one float add per entry, kept for the last eps asked.
+
+        Adding eps inside each comparison instead makes a ``batch`` at the
+        default eps slower than adding both rows up in a Python loop.
+        """
+        if eps == 0.0:
+            return self._sums
+        memo = self.__dict__.get("_ceiling_memo")
+        if memo is None or memo[0] != eps:
+            memo = self.__dict__["_ceiling_memo"] = (eps, array("d", map(eps.__add__, self._sums)))
+        return memo[1]
+
+    def __getstate__(self) -> dict:
+        return {"values": self.values}
+
 
 def make_array(values: Iterable[float]) -> Array:
     """Validating constructor: every component must be >= 0, length >= 1."""
@@ -310,8 +336,8 @@ _FLIPPED = {outcome: OUTCOME[right, left] for (left, right), outcome in OUTCOME.
 
 
 def _require_same_length(x: Array, y: Array) -> None:
-    if len(x) != len(y):
-        raise LengthMismatch(len(x), len(y))
+    if len(x.values) != len(y.values):
+        raise LengthMismatch(len(x.values), len(y.values))
 
 
 def generalized_compare(x: Array, y: Array, tol: Optional[float] = None) -> DominanceOutcome:
@@ -321,20 +347,14 @@ def generalized_compare(x: Array, y: Array, tol: Optional[float] = None) -> Domi
     sum of Y (within tolerance); with slack in both directions at every index
     the arrays count as equal.  Antisymmetry and transitivity are exact when
     ``eps = 0``.
+
+    Each array's running sums and their ceilings (the sums plus eps) are
+    computed once and kept on the array, so a pair costs two C-level scans.
     """
     _require_same_length(x, y)
     eps = as_eps(tol)
-    sx = sy = 0.0
-    left = right = True
-    for xv, yv in zip(x.values, y.values):
-        sx += xv
-        sy += yv
-        if sx > sy + eps:
-            left = False
-        if sy > sx + eps:
-            right = False
-        if not (left or right):
-            return DominanceOutcome.INCOMPARABLE
+    left = not any(map(gt, x._sums, y._ceilings(eps)))
+    right = not any(map(gt, y._sums, x._ceilings(eps)))
     return OUTCOME[left, right]
 
 

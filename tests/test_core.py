@@ -281,6 +281,57 @@ def test_compare_tolerance_treats_small_gaps_as_equal():
     assert generalized_compare(x, y, EXACT) is LSB
 
 
+def loop_compare(x, y, tol=None):
+    """Reference: the comparison as a Python loop that adds both rows on every call."""
+    if len(x) != len(y):
+        raise LengthMismatch(len(x), len(y))
+    eps = as_eps(tol)
+    sx = sy = 0.0
+    left = right = True
+    for xv, yv in zip(x.values, y.values):
+        sx += xv
+        sy += yv
+        if sx > sy + eps:
+            left = False
+        if sy > sx + eps:
+            right = False
+        if not (left or right):
+            return INC
+    return OUTCOME[left, right]
+
+
+COMPARE_EPS = [0.0, 1e-9, 0.25, 0.5]
+
+
+@st.composite
+def compared_pairs(draw):
+    """Two arrays whose running sums tie, or differ by exactly one of ``COMPARE_EPS``."""
+    n = draw(st.integers(1, 6))
+    value = st.sampled_from([0.0, -0.0, 1e-9, 0.25, 0.5, 0.75, 1.0, 1 + 1e-9, 2.0])
+    x = draw(st.lists(value, min_size=n, max_size=n))
+    # each component of y is x's, or x's moved by exactly one eps, or drawn afresh
+    shifts = st.sampled_from([0.0, *COMPARE_EPS[1:], *(-e for e in COMPARE_EPS[1:])])
+    y = [v + s if v + s >= 0.0 else v for v, s in zip(x, draw(st.lists(shifts, min_size=n, max_size=n)))]
+    y = [draw(st.one_of(st.just(v), value)) for v in y]
+    return make_array(x), make_array(y)
+
+
+@given(compared_pairs(), st.lists(st.sampled_from(COMPARE_EPS), min_size=1, max_size=8))
+@settings(max_examples=600)
+def test_compare_from_kept_running_sums_matches_the_python_loop(pair, eps_seq):
+    x, y = pair
+    fresh = [make_array(a.values) for a in pair]
+    # the same objects at several eps in turn, so a sum or ceiling kept from one eps must not leak
+    for eps in eps_seq:
+        for a, b in ((x, y), (y, x), (x, x)):
+            assert generalized_compare(a, b, eps) is loop_compare(a, b, eps)
+    for compared, twin in zip(pair, fresh):
+        assert compared == twin and hash(compared) == hash(twin) and repr(compared) == repr(twin)
+        assert pickle.dumps(compared) == pickle.dumps(twin)
+        clone = copy.deepcopy(compared)
+        assert clone == twin and pickle.dumps(clone) == pickle.dumps(twin)
+
+
 # ---------------------------------------------------------------------------
 # dominance matrix
 # ---------------------------------------------------------------------------
