@@ -222,13 +222,16 @@ def make_array(values: Iterable[float]) -> Array:
     return Array(tuple(values))
 
 
-def _float_array(vals: tuple[float, ...]) -> Array:
+def _float_array(vals: tuple[float, ...], new: Optional[Sequence[float]] = None) -> Array:
     """``Array(vals)`` for a tuple that holds only floats, without its ``float()`` copy.
 
-    The producer records each state this way.  Values that fail Array's fast
-    check go through ``Array(vals)``, so they raise exactly its errors.
+    The producer records each state this way.  ``new`` names the values that
+    changed from a state already checked: only their signs are checked then,
+    while the total is always.  Values that fail this fast check go through
+    ``Array(vals)``, so they raise exactly its errors, from the first bad
+    component.
     """
-    if vals and min(vals) >= 0.0 and sum(vals) < _SAFE_TOTAL:
+    if vals and min(vals if new is None else new, default=0.0) >= 0.0 and sum(vals) < _SAFE_TOTAL:
         arr = object.__new__(Array)
         object.__setattr__(arr, "values", vals)
         return arr

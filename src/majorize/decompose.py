@@ -27,8 +27,8 @@ from __future__ import annotations
 import json
 import random
 from enum import Enum
-from itertools import accumulate, compress, count, islice, repeat
-from operator import add, gt, is_not, le, ne
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import add, eq, gt, is_not, le, ne
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import (
@@ -169,8 +169,9 @@ class Certificate(_Record):
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
+        memo = _FloatMemo()
         try:
-            data = json.loads(text, parse_float=_FloatMemo().__getitem__)
+            data = json.loads(text, parse_float=memo.__getitem__)
         except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an int over the digit limit
             raise MalformedCertificate(f"not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
@@ -182,8 +183,12 @@ class Certificate(_Record):
             target = make_array(_numbers(data["target"], "target"))
             # built from lists, as in Array, so that no tuple is resized
             steps = tuple([_step_from_dict(s) for s in _array(data["steps"], "steps")])
+            # a row is decoded at its step's positions only where equal entries are
+            # surely equal numbers: with no boolean (True == 1) and no -0.0 (-0.0 == 0)
+            plain = not (memo.signed() or _may_hold_booleans(text))
             intermediates = tuple(_intermediates(_array(data["intermediates"], "intermediates"),
-                                                 raw_source, source.values))
+                                                 raw_source, source.values,
+                                                 steps if plain else ()))
             return cls(source, target, steps, intermediates, mode)
         except MalformedCertificate:
             raise
@@ -213,31 +218,78 @@ class _FloatMemo(dict):
         value = self[text] = float(text)
         return value
 
+    def signed(self) -> bool:
+        """Whether some text had a minus sign, as ``-0.0`` has; the others start with a digit."""
+        return min(self, default="0") < "0"
 
-def _intermediates(rows: list, raw: list, values: tuple[float, ...]) -> list[Array]:
+
+def _may_hold_booleans(text: str) -> bool:
+    """Whether the JSON text may hold ``true`` or ``false``, looked for by their ``u`` and ``l``.
+
+    No number holds either letter and a certificate's keys and mode hold one
+    or none of each, so a C-level ``find`` for each letter scans the text
+    about once; past 8 finds of a letter, or for bytes, the answer is yes.
+    """
+    if not isinstance(text, str):
+        return True
+    for word in ("true", "false"):
+        k = -1
+        for _ in range(8):
+            k = text.find(word[2], k + 1)
+            if k < 0:
+                break
+            if text.startswith(word, k - 2):
+                return True
+        else:
+            return True
+    return False
+
+
+def _written(step: Optional[Step], n: int) -> Optional[tuple[int, ...]]:
+    """The 0-based positions that ``step`` writes in a length-``n`` state, or None for a sort,
+    a step past the end or no step."""
+    if isinstance(step, Transfer):
+        return (step.i - 1, step.j - 1) if step.j <= n else None
+    if isinstance(step, Increase):
+        return (step.i - 1,) if step.i <= n else None
+    return None
+
+
+def _intermediates(rows: list, raw: list, values: tuple[float, ...],
+                   steps: Sequence[Step]) -> list[Array]:
     """Each row as ``make_array(_numbers(row, "intermediate"))``, decoded from the row before.
 
     ``raw`` is the source's JSON list and ``values`` its floats.  A chain
-    state differs from the one before in a position or two, and ``_FloatMemo``
-    gives repeated float texts one object, so only the positions whose object
-    is not the row before's are type-checked and converted: by identity, as
-    ``True == 1``.  A row that is not a list of the source's length, and every
-    row after it, is decoded whole, so the errors and their order stay
-    ``make_array``'s.
+    state differs from the one before in a position or two, so only those
+    positions are type-checked, converted and checked for sign.  A row that
+    equals the row before with its step's positions put in (one C-level list
+    compare) changed at most there; ``steps`` may be empty where equal
+    entries need not be equal numbers.  Any other row is diffed by identity
+    (``_FloatMemo`` gives repeated float texts one object).  A row that is
+    not a list of the source's length, and every row after it, is decoded
+    whole, so the errors and their order stay ``make_array``'s.
     """
     arrays: list[Array] = []
     n = len(raw)
-    for row in rows:
+    state = list(values)
+    for row, step in zip(rows, chain(steps, repeat(None))):
         if type(row) is not list or len(row) != n:
             break
-        changed = list(compress(count(), map(is_not, row, raw)))
+        changed = _written(step, n)
+        if changed is not None:
+            probe = raw.copy()
+            for k in changed:
+                probe[k] = row[k]
+            if probe != row:
+                changed = None
+        if changed is None:
+            changed = list(compress(count(), map(is_not, row, raw)))
         if not _JSON_NUMBER_TYPES.issuperset([type(row[k]) for k in changed]):
             raise MalformedCertificate("intermediate must hold only numbers")
-        state = list(values)
         for k in changed:
             state[k] = float(row[k])
-        values = tuple(state)
-        arrays.append(_float_array(values))  # Array's errors, from its first bad component
+        # Array's errors, from its first bad component
+        arrays.append(_float_array(tuple(state), [state[k] for k in changed]))
         raw = row
     arrays += [make_array(_numbers(row, "intermediate")) for row in rows[len(arrays):]]
     return arrays
@@ -370,6 +422,7 @@ def verify_certificate(cert: Certificate, tol: Optional[float] = None) -> Verifi
 
     # running sums are taken in generalized_compare's order; a ceiling is those sums
     # plus eps, so ``s <= ceiling`` is generalized_compare's test
+    n = len(cert.source)
     ceiling = list(map(add, accumulate(cert.target.values), repeat(eps)))
     sums = list(accumulate(cert.source.values))  # of the last state checked
     computed = list(cert.source.values)  # the replay's working list
@@ -384,24 +437,42 @@ def verify_certificate(cert: Certificate, tol: Optional[float] = None) -> Verifi
             return VerificationReport(
                 False, t, FailureReason.REPLAY_MISMATCH, t,
                 f"replaying step {t} does not reproduce the recorded intermediate")
-        # The state is its step's replay, so its running sums before the step's first
-        # position are the last state's, already checked: only the sums from index
-        # ``lo`` on are taken and checked.  Step 0 (the source was never checked
-        # against the target) and a sort are checked whole.
-        lo = 0 if t == 0 or isinstance(step, SortDesc) else max(step.i - 2, 0)
-        before = sums[lo:]
-        after = list(accumulate(islice(values, lo + 1, None), initial=sums[lo] if lo else values[0]))
-        below = all(map(le, before, map(add, after, repeat(eps))))
-        if not (below and any(map(gt, after, map(add, before, repeat(eps))))):
+        # Step 0 (the source was never checked against the target) and a sort are
+        # checked whole.  Any other state is its step's replay: it differs from the
+        # last state only at the step's positions, so only the sums in a window
+        # ``lo <= k < stop`` can differ from the last state's, which were checked.
+        # * The window starts at the sum before the step's first position.
+        # * A transfer's window ends once a sum from its source position ``low`` on
+        #   equals the last state's, as every later sum then does too.
+        # * The sums before ``low`` (all of them, for an increase) only rose, as IEEE
+        #   addition is monotone, so only the sums from ``low`` on can fall.
+        if t == 0 or isinstance(step, SortDesc):
+            lo = low = 0
+            after = list(accumulate(values))
+        else:
+            lo = max(step.i - 2, 0)
+            low = step.j - 1 if isinstance(step, Transfer) else n
+            after = list(accumulate(islice(values, lo + 1, low + 1),
+                                    initial=sums[lo] if lo else values[0]))
+            if low < n and after[-1] != sums[low]:
+                rest = accumulate(islice(values, low + 1, None), initial=after[-1])
+                meet = next(compress(count(low), map(eq, rest, islice(sums, low, None))), n)
+                # the sum at ``low`` is popped and comes back first
+                after += accumulate(islice(values, low + 1, meet), initial=after.pop())
+        stop = lo + len(after)
+        below = all(map(le, islice(sums, low, stop),
+                        map(add, islice(after, low - lo, None), repeat(eps))))
+        if not (below and any(map(gt, after, map(add, islice(sums, lo, None), repeat(eps))))):
             return VerificationReport(
                 False, t, FailureReason.CHAIN_NOT_STRICT, t,
                 f"intermediate {t} does not strictly dominate its predecessor",
-                None if below else lo + _first_above(before, map(add, after, repeat(eps))))
-        if not all(map(le, after, ceiling[lo:])):
+                None if below else low + _first_above(
+                    islice(sums, low, stop), map(add, islice(after, low - lo, None), repeat(eps))))
+        if not all(map(le, after, islice(ceiling, lo, None))):
             return VerificationReport(
                 False, t, FailureReason.NOT_SANDWICHED_BY_TARGET, t,
                 f"intermediate {t} is not dominated by the target",
-                lo + _first_above(after, ceiling[lo:]))
+                lo + _first_above(after, islice(ceiling, lo, None)))
         if cert.mode is CertificateMode.DECREASING and not isinstance(step, SortDesc):
             ranked = sorted(values, reverse=True)
             if not all(map(le, accumulate(ranked), ceiling)):
@@ -409,11 +480,11 @@ def verify_certificate(cert: Certificate, tol: Optional[float] = None) -> Verifi
                     False, t, FailureReason.SORTED_INTERMEDIATE_NOT_BELOW_TARGET, t,
                     f"descending rearrangement of intermediate {t} is not below the target",
                     _first_above(accumulate(ranked), ceiling))
-        if cert.mode is CertificateMode.TRANSFERS:
-            if abs(after[-1] - before[-1]) > replay_slack:
+        if cert.mode is CertificateMode.TRANSFERS:  # a window that ends early keeps the total
+            if stop == n and abs(after[-1] - sums[-1]) > replay_slack:
                 return VerificationReport(False, t, FailureReason.MODE_VIOLATION, t,
                                           f"total not conserved at step {t}")
-        sums[lo:] = after
+        sums[lo:stop] = after
 
     if any(abs(p - q) > replay_slack for p, q in zip(cert.final.values, cert.target.values)):
         return VerificationReport(False, len(cert.steps), FailureReason.REPLAY_MISMATCH, None,
@@ -551,10 +622,10 @@ def _decompose(x: Array, y: Array, tol: Optional[float], mode: CertificateMode) 
         else:
             return Certificate(x, y, tuple(steps), tuple(inters), mode)
         _apply_step(cur, step, eps)
+        steps.append(step)
+        inters.append(_float_array(tuple(cur), (cur[i], cur[j]) if j < n else (cur[i],)))
         if cur[i] - yv[i] > surplus_eps:
             j = i  # rounding lifted the filled position over its target
-        steps.append(step)
-        inters.append(_float_array(tuple(cur)))
         if mode is CertificateMode.DECREASING and not inters[-1].is_non_increasing():
             ranked = sorted(cur, reverse=True)
             ranked_sums = list(accumulate(ranked))
@@ -569,7 +640,7 @@ def _decompose(x: Array, y: Array, tol: Optional[float], mode: CertificateMode) 
             if _first_above(ranked_sums, map(add, accumulate(cur), repeat(eps))):  # else not strict
                 cur = ranked
                 steps.append(SortDesc())
-                inters.append(_float_array(tuple(cur)))
+                inters.append(_float_array(tuple(cur), ()))
                 i = j = 0
         if len(steps) > cap:  # only reachable for adversarial sub-eps inputs
             raise MajorizeError("decomposition did not converge; inputs are at tolerance scale")

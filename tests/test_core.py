@@ -132,6 +132,15 @@ def test_float_array_of_an_empty_tuple_raises_as_array_does():
     assert _built_or_raised(_float_array, ()) == _built_or_raised(Array, ())
 
 
+@settings(max_examples=500)
+@given(st.lists(st.tuples(st.sampled_from(_EDGE_FLOATS), st.booleans()), min_size=1, max_size=6))
+def test_float_array_checks_the_sign_of_the_new_values_only(entries):
+    # the values not named new were checked before: here, any that Array accepts alone
+    vals = tuple(v if is_new or 0.0 <= v < math.inf else 1.0 for v, is_new in entries)
+    new = [v for v, (_, is_new) in zip(vals, entries) if is_new]
+    assert _built_or_raised(lambda z: _float_array(z, new), vals) == _built_or_raised(Array, vals)
+
+
 # ---------------------------------------------------------------------------
 # prefix sums
 # ---------------------------------------------------------------------------

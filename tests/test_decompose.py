@@ -1,6 +1,8 @@
 import collections
 import json
 import random
+from itertools import accumulate, islice, repeat
+from operator import add, gt, le
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +26,9 @@ from majorize import (
     TargetNotDecreasing,
     Transfer,
     TransferExceedsSource,
+    VerificationReport,
     apply_eii,
+    as_eps,
     decompose_decreasing,
     decompose_general,
     decompose_transfers,
@@ -36,6 +40,7 @@ from majorize import (
     sort_desc,
     verify_certificate,
 )
+import majorize.decompose as decompose_module
 from majorize.core import _apply_step, plain_number
 from majorize.decompose import _array, _first_above, _numbers, _step_from_dict
 from exact_reference import exact_verdict
@@ -778,6 +783,189 @@ def test_verifier_reports_what_the_pairwise_verifier_reports():
     assert all(verdicts[reason] > 50 for reason in (None, *FailureReason)), verdicts
 
 
+# Reference for the windows in ``verify_certificate``: its step loop with every
+# running sum from the step's first position on taken and checked.
+def _suffix_verify(cert: Certificate, tol: float) -> VerificationReport:
+    eps = as_eps(tol)
+    replay_slack = len(cert.source) * eps
+    if cert.mode is CertificateMode.TRANSFERS:
+        for t, step in enumerate(cert.steps):
+            if not isinstance(step, Transfer):
+                return VerificationReport(False, 0, FailureReason.MODE_VIOLATION, t,
+                                          f"step {t} is not a transfer in transfers-only mode")
+    if cert.mode is CertificateMode.DECREASING:
+        if not cert.target.is_non_increasing():
+            return VerificationReport(False, 0, FailureReason.MODE_VIOLATION, None,
+                                      "decreasing-mode target is not non-increasing")
+        for t, step in enumerate(cert.steps):
+            if isinstance(step, SortDesc):
+                if t == 0 or isinstance(cert.steps[t - 1], SortDesc):
+                    return VerificationReport(
+                        False, 0, FailureReason.MODE_VIOLATION, t,
+                        f"sort step {t} does not immediately follow an impact step")
+    ceiling = list(map(add, accumulate(cert.target.values), repeat(eps)))
+    sums = list(accumulate(cert.source.values))
+    computed = list(cert.source.values)
+    for t, (step, recorded) in enumerate(zip(cert.steps, cert.intermediates)):
+        try:
+            _apply_step(computed, step, eps)
+        except MajorizeError as exc:
+            return VerificationReport(False, t, FailureReason.REPLAY_MISMATCH, t,
+                                      f"step {t} is not applicable: {exc}")
+        values = recorded.values
+        if tuple(computed) != values:
+            return VerificationReport(
+                False, t, FailureReason.REPLAY_MISMATCH, t,
+                f"replaying step {t} does not reproduce the recorded intermediate")
+        lo = 0 if t == 0 or isinstance(step, SortDesc) else max(step.i - 2, 0)
+        before = sums[lo:]
+        after = list(accumulate(islice(values, lo + 1, None), initial=sums[lo] if lo else values[0]))
+        below = all(map(le, before, map(add, after, repeat(eps))))
+        if not (below and any(map(gt, after, map(add, before, repeat(eps))))):
+            return VerificationReport(
+                False, t, FailureReason.CHAIN_NOT_STRICT, t,
+                f"intermediate {t} does not strictly dominate its predecessor",
+                None if below else lo + _first_above(before, map(add, after, repeat(eps))))
+        if not all(map(le, after, ceiling[lo:])):
+            return VerificationReport(
+                False, t, FailureReason.NOT_SANDWICHED_BY_TARGET, t,
+                f"intermediate {t} is not dominated by the target",
+                lo + _first_above(after, ceiling[lo:]))
+        if cert.mode is CertificateMode.DECREASING and not isinstance(step, SortDesc):
+            ranked = sorted(values, reverse=True)
+            if not all(map(le, accumulate(ranked), ceiling)):
+                return VerificationReport(
+                    False, t, FailureReason.SORTED_INTERMEDIATE_NOT_BELOW_TARGET, t,
+                    f"descending rearrangement of intermediate {t} is not below the target",
+                    _first_above(accumulate(ranked), ceiling))
+        if cert.mode is CertificateMode.TRANSFERS:
+            if abs(after[-1] - before[-1]) > replay_slack:
+                return VerificationReport(False, t, FailureReason.MODE_VIOLATION, t,
+                                          f"total not conserved at step {t}")
+        sums[lo:] = after
+    if any(abs(p - q) > replay_slack for p, q in zip(cert.final.values, cert.target.values)):
+        return VerificationReport(False, len(cert.steps), FailureReason.REPLAY_MISMATCH, None,
+                                  "final state does not match the target")
+    return VerificationReport(True, len(cert.steps))
+
+
+_VERIFY_EPS = (0.0, 1e-12, 1e-9, 0.5)
+# short decimals, whose sums round, and integers near 1e16, where adding a small
+# value rounds away: a transfer's sums then differ from the last state's at its
+# source position, or meet them before it
+_CHAIN_VALUES = (st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1.0, 2.0, 3.0, 1e16, 1e16 + 2, 1e16 + 8])
+                 | st.integers(0, 100).map(float) | st.floats(0.0, 100.0))
+_CHAIN_AMOUNTS = st.sampled_from([1e-12, 1e-9, 0.1, 0.3, 0.5, 1.0, 2.0, 4.0]) | st.floats(1e-12, 1e16)
+
+
+@st.composite
+def replayed_certificates(draw):
+    """Certificates whose rows are their steps' replays, with a target near the final state,
+    so every prefix-sum check is reached; some have one amount, index or row tampered."""
+    n = draw(st.integers(1, 7))
+    eps = draw(st.sampled_from(_VERIFY_EPS))
+    mode = draw(st.sampled_from(CertificateMode))
+    kinds = ["transfer"] if mode is CertificateMode.TRANSFERS else ["transfer", "increase", "sort"]
+    source = draw(st.lists(_CHAIN_VALUES, min_size=n, max_size=n))
+    cur, steps, inters = list(source), [], []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "transfer" and n > 1:
+            i = draw(st.integers(1, n - 1))
+            j = draw(st.integers(i + 1, n))
+            whole = cur[j - 1]
+            a = draw(st.sampled_from([whole, whole / 2, whole / 3]) if whole > 0 else _CHAIN_AMOUNTS)
+            step = Transfer(i, j, a if a > 0 else 1.0)
+        elif kind == "sort" and steps and not isinstance(steps[-1], SortDesc):
+            step = SortDesc()
+        else:
+            step = Increase(draw(st.integers(1, n)), draw(_CHAIN_AMOUNTS))
+        state = list(cur)
+        try:
+            _apply_step(state, step, eps)
+            arr = make_array(state)
+        except MajorizeError:
+            continue
+        cur = state
+        steps.append(step)
+        inters.append(arr)
+    target = list(cur)
+    for _ in range(draw(st.integers(0, 2))):  # a target near the final state
+        k = draw(st.integers(0, n - 1))
+        target[k] = max(0.0, target[k] + draw(st.sampled_from([-1.0, -0.1, -1e-9, 1e-9, 0.1, 1.0])))
+    tamper = draw(st.sampled_from(["none", "none", "amount", "index", "row"])) if steps else "none"
+    t = draw(st.integers(0, len(steps) - 1)) if steps else 0
+    if tamper == "amount" and not isinstance(steps[t], SortDesc):
+        steps[t] = (Transfer(steps[t].i, steps[t].j, steps[t].a * 2) if isinstance(steps[t], Transfer)
+                    else Increase(steps[t].i, steps[t].a * 2))
+    elif tamper == "index" and isinstance(steps[t], Transfer) and steps[t].j < n:
+        steps[t] = Transfer(steps[t].i, steps[t].j + 1, steps[t].a)
+    elif tamper == "row":
+        row = list(inters[t].values)
+        row[draw(st.integers(0, n - 1))] += draw(st.sampled_from([1e-9, 0.1, 1.0]))
+        inters[t] = make_array(row)
+    if mode is CertificateMode.DECREASING:
+        target.sort(reverse=True)
+    return Certificate(make_array(source), make_array(target), tuple(steps), tuple(inters), mode)
+
+
+@st.composite
+def produced_certificates(draw):
+    """A producer's certificate in any mode, from integers, floats or pairs lifted near 1e16,
+    honest or with one of ``_tampered``'s changes."""
+    i = draw(st.integers(0, 10 ** 6))
+    x, y, eps = _pinning_case(i, transfers_only=draw(st.booleans()))
+    produce = draw(st.sampled_from([decompose_general, decompose_transfers, decompose_decreasing]))
+    if produce is decompose_decreasing:
+        x, y = decreasing_pair(i, *sized(i), integer_mode=draw(st.booleans()))
+    try:
+        cert = produce(x, y, eps)
+    except MajorizeError:
+        cert = Certificate(x, y, (), (), CertificateMode.GENERAL)
+    return draw(st.sampled_from(_tampered(cert, random.Random(i))))
+
+
+# a transfer whose sums meet the last state's at prefix 4, before its source position 5,
+# and fall below them at prefix 5
+_MEETS_BEFORE_J = Certificate.from_json(
+    '{"mode": "general", "source": [2, 0, 1, 10000000000000008, 2], '
+    '"target": [10, 8, 20000000000000000, 20000000000000000, 0], '
+    '"steps": [{"type": "increase", "i": 2, "a": 4}, {"type": "transfer", "i": 3, "j": 5, "a": 2}], '
+    '"intermediates": [[2, 4, 1, 10000000000000008, 2], [2, 4, 3, 10000000000000008, 0]]}')
+# a transfer whose sum at its source position 3 rounds above the last state's,
+# and whose sum past it exceeds the target's
+_DIFFERS_AT_J = Certificate.from_json(
+    '{"mode": "general", "source": [0.7, 0.1, 3, 0.3], '
+    '"target": [1.7, 1.4, 1.700000000000001, 0.29999999999999893], '
+    '"steps": [{"type": "increase", "i": 1, "a": 1}, {"type": "transfer", "i": 2, "j": 3, "a": 0.3}], '
+    '"intermediates": [[1.7, 0.1, 3, 0.3], [1.7, 0.4, 2.7, 0.3]]}')
+
+
+def test_verifier_names_a_fall_past_a_meeting_of_the_sums():
+    assert list(accumulate(_MEETS_BEFORE_J.intermediates[0]))[3] == \
+        list(accumulate(_MEETS_BEFORE_J.intermediates[1]))[3]
+    report = verify_certificate(_MEETS_BEFORE_J, EXACT)
+    assert (report.reason, report.step_index, report.prefix_index) == \
+        (FailureReason.CHAIN_NOT_STRICT, 1, 5)
+
+
+def test_verifier_checks_past_a_transfer_whose_sums_have_not_met():
+    before, after = (list(accumulate(z)) for z in _DIFFERS_AT_J.intermediates)
+    assert after[2] != before[2] and after[3] > before[3]
+    report = verify_certificate(_DIFFERS_AT_J, EXACT)
+    assert (report.reason, report.step_index, report.prefix_index) == \
+        (FailureReason.NOT_SANDWICHED_BY_TARGET, 1, 4)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.one_of(replayed_certificates(), produced_certificates(), hand_built_certificates()),
+       st.sampled_from(_VERIFY_EPS))
+@example(_MEETS_BEFORE_J, 0.0)
+@example(_DIFFERS_AT_J, 0.0)
+def test_verifier_windows_report_what_whole_suffixes_report(cert, eps):
+    assert verify_certificate(cert, eps) == _suffix_verify(cert, eps)
+
+
 @pytest.mark.parametrize("mutate", [
     lambda d: d.pop("mode"),
     lambda d: d.update(mode="sideways"),
@@ -848,39 +1036,113 @@ _ODD_ENTRIES = st.sampled_from([
 _ODD_ROWS = st.sampled_from([[], None, 3, "row", {}, [[1]]])
 
 
+def _equal_entries(v):
+    """Entries equal to ``v`` by ``==`` that decode differently, or not at all: a boolean for 1
+    or 0, ``-0.0`` for 0, a float for an int and an int for an integral float."""
+    if type(v) not in (int, float) or not abs(v) < 1e300:  # also no nan, inf or 10 ** 400
+        return st.just(v)
+    options = [e for e in (True, False, -0.0) if e == v]
+    return st.sampled_from([*options, float(v)] + ([int(v)] if float(v).is_integer() else []))
+
+
+_PRODUCERS = {CertificateMode.GENERAL: decompose_general,
+              CertificateMode.DECREASING: decompose_decreasing,
+              CertificateMode.TRANSFERS: decompose_transfers}
+
+
 @st.composite
 def odd_certificate_texts(draw):
-    """An honest certificate's JSON with odd entries and rows put in at random places."""
+    """An honest certificate's JSON with odd entries, rows and step indices put in.
+
+    Entries go in at random places, at the positions their step writes, and
+    away from them as entries equal to the row before's.  A step's indices
+    move past the end or to positions its row did not change.  Integer
+    pairs are scaled by 300 at times, as ints above 256 decode to distinct
+    objects.
+    """
     n = draw(st.integers(1, 6))
-    x, y = random_dominated_pair(draw(st.integers(0, 10 ** 6)), n, draw(st.integers(0, 2 * n)),
-                                 integer_mode=draw(st.booleans()))
-    data = json.loads(decompose_general(x, y).to_json())
-    rows = data["intermediates"]
+    mode = draw(st.sampled_from(CertificateMode))
+    seed, k, integer = draw(st.integers(0, 10 ** 6)), draw(st.integers(0, 2 * n)), draw(st.booleans())
+    if mode is CertificateMode.DECREASING:
+        x, y = decreasing_pair(seed, n, k, integer_mode=integer)
+    else:
+        x, y = random_dominated_pair(seed, n, k, integer_mode=integer,
+                                     transfers_only=mode is CertificateMode.TRANSFERS)
+    if integer and draw(st.booleans()):
+        x, y = (make_array(300 * v for v in z) for z in (x, y))
+    try:
+        data = json.loads(_PRODUCERS[mode](x, y).to_json())
+    except MajorizeError:  # a decreasing-mode source the sweep refuses
+        data = json.loads(decompose_general(x, y).to_json())
+    rows, steps = data["intermediates"], data["steps"]
     for _ in range(draw(st.integers(0, 3))):
-        where = draw(st.sampled_from(["entry", "entry", "short", "row", "source"]))
+        where = draw(st.sampled_from(["entry", "written", "equal", "equal", "index", "short", "row",
+                                      "source"]))
         if where == "source":
             data["source"][draw(st.integers(0, n - 1))] = draw(_ODD_ENTRIES)
-        elif rows:
-            t = draw(st.integers(0, len(rows) - 1))
-            row = rows[t]
-            if where == "row" or not (isinstance(row, list) and row):
-                rows[t] = draw(_ODD_ROWS)
-            elif where == "entry":
-                row[draw(st.integers(0, len(row) - 1))] = draw(_ODD_ENTRIES)
+            continue
+        if not rows:
+            continue
+        t = draw(st.integers(0, len(rows) - 1))
+        row, step, before = rows[t], steps[t], rows[t - 1] if t else data["source"]
+        if where == "index":
+            if step["type"] != "sort_desc":
+                i = draw(st.integers(1, n))
+                if step["type"] == "increase":
+                    steps[t] = dict(step, i=draw(st.sampled_from([i, n + 1])))
+                else:
+                    steps[t] = dict(step, i=i, j=draw(st.integers(i + 1, n + 2)))
+        elif where == "row" or not (isinstance(row, list) and row):
+            rows[t] = draw(_ODD_ROWS)
+        elif where == "short":
+            del row[draw(st.integers(0, len(row) - 1))]
+        else:
+            written = [step[f] - 1 for f in ("i", "j") if f in step and step[f] <= len(row)]
+            p = draw(st.sampled_from(written) if where == "written" and written
+                     else st.integers(0, len(row) - 1))
+            if where == "equal" and isinstance(before, list) and p < len(before):
+                row[p] = draw(_equal_entries(before[p]))
             else:
-                del row[draw(st.integers(0, len(row) - 1))]
+                row[p] = draw(_ODD_ENTRIES)
     return json.dumps(data)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=1000, deadline=None)
 @given(odd_certificate_texts())
 @example('{"mode": "general", "source": [3, 1, 0], "target": [3, 1, 1], "steps": '
          '[{"type": "increase", "i": 3, "a": 1}], "intermediates": [[3, true, 1]]}')
 @example('{"mode": "general", "source": [3, 0, 0], "target": [3, 1, 1], "steps": '
          '[{"type": "increase", "i": 2, "a": 1}, {"type": "increase", "i": 3, "a": 1}], '
          '"intermediates": [[3, 1, 0], [3, true, 1]]}')
+@example('{"mode": "general", "source": [3, 0, 0], "target": [3, 2, 0], "steps": '
+         '[{"type": "increase", "i": 2, "a": 1}, {"type": "increase", "i": 2, "a": 1}], '
+         '"intermediates": [[3, 1, 0], [3, 2, -0.0]]}')
+@example('{"mode": "general", "note": "lull, lull, lull, lull, lull", "source": [3, 0, 0], '
+         '"target": [3, 2, 0], "steps": [{"type": "increase", "i": 2, "a": 1}], '
+         '"intermediates": [[3, 1, 0]]}')  # past 8 finds of the l of ``false``: maybe boolean
 def test_from_json_decodes_what_the_per_row_decoder_decodes(text):
     assert _decoded(Certificate.from_json, text) == _decoded(_reference_from_json, text)
+
+
+def test_from_json_reads_bytes_as_text():
+    text = chain_certificate().to_json()
+    assert Certificate.from_json(text.encode()) == Certificate.from_json(text)
+
+
+@pytest.mark.parametrize("produce,pair", [
+    (decompose_general, lambda: random_dominated_pair(160, 160, 320)),
+    (decompose_general, lambda: random_dominated_pair(160, 160, 320, integer_mode=False)),
+    (decompose_transfers, lambda: random_dominated_pair(160, 160, 320, transfers_only=True)),
+], ids=["general", "general-float", "transfers"])
+def test_rows_that_follow_their_steps_are_decoded_without_a_diff(monkeypatch, produce, pair):
+    cert = produce(*pair())
+    text = cert.to_json()
+
+    def diffed(*args):
+        raise AssertionError("a row that follows its step was diffed by identity")
+
+    monkeypatch.setattr(decompose_module, "is_not", diffed)
+    assert Certificate.from_json(text) == cert
 
 
 # ---------------------------------------------------------------------------
