@@ -96,35 +96,22 @@ def parse_timeline_csv(text: str) -> dict[str, Array]:
         if not rows:
             raise MajorizeError("timeline CSV has a header but no data rows")
 
-    # The table is checked whole: one width, distinct ids, and every row through
-    # _float_array (float() and Array's checks raise ValueError).  Only a table
-    # that fails takes the per-row checks below, which name its first bad row.
-    ids = [row[0].strip() for _, row in rows]
-    n_values = len(rows[0][1]) - 1
-    if (n_values >= 1 and n_labels in (None, n_values) and len(set(ids)) == len(ids)
-            and {len(row) for _, row in rows} == {n_values + 1}):
-        try:
-            return dict(zip(ids, [_float_array(tuple(map(float, row[1:]))) for _, row in rows]))
-        except ValueError:
-            pass
-
+    # Rows are checked once, in file order, so the first bad row is the one named.
     table: dict[str, Array] = {}
-    width: Optional[int] = None
+    width = len(rows[0][1]) - 1
     for num, row in rows:
         if len(row) < 2:
             raise MajorizeError(f"row {num}: expected an id and at least one value")
         eid = row[0].strip()
         if eid in table:
             raise MajorizeError(f"row {num}: duplicate id {eid!r}")
-        if width is None:
-            width = len(row) - 1
-            if n_labels is not None and n_labels != width:
-                raise MajorizeError(f"row {num}: {width} values but {n_labels} period labels")
-        elif len(row) - 1 != width:
+        if n_labels not in (None, width):  # fails on the first data row or not at all
+            raise MajorizeError(f"row {num}: {width} values but {n_labels} period labels")
+        if len(row) - 1 != width:
             raise MajorizeError(f"row {num}: {len(row) - 1} values, expected {width}")
         try:
-            table[eid] = make_array([float(c) for c in row[1:]])
-        except ValueError as exc:  # float()'s error, or make_array's: MajorizeError is a ValueError
+            table[eid] = _float_array(tuple(map(float, row[1:])))
+        except ValueError as exc:  # float()'s error, or Array's: MajorizeError is a ValueError
             raise MajorizeError(f"row {num}: {exc}") from exc
     return table
 

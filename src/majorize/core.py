@@ -376,8 +376,9 @@ def dominance_matrix(
 
     With ``ranked`` the outcome is classical majorization in both directions,
     as ``classical_majorizes`` decides it, and ``compare`` is not called.
-    Each array's ranked running sums are computed once, in the order
-    ``classical_majorizes`` adds them, so the outcomes are its exactly.  Pairs
+    Each array's ranked running sums, and their ceilings (the sums plus eps),
+    are computed once, in the order ``classical_majorizes`` adds them, so a
+    pair costs two C-level scans and the outcomes are its exactly.  Pairs
     whose totals differ by more than eps are ``INCOMPARABLE`` without a scan.
     Once the arrays are sorted by total, the pairs within eps of an array form
     one window after it, because float subtraction is monotone: the first
@@ -397,22 +398,22 @@ def dominance_matrix(
         return rows
     sums = [list(accumulate(sorted(x.values, reverse=True))) for x in arrays]
     totals = [run.pop() for run in sums]  # compared apart from the scan
+    # sums + eps, the floats classical_majorizes compares against, added for a
+    # row when it first meets another: in many tables most rows meet none
+    ceilings = sums if eps == 0.0 else [None] * m
     order = sorted(range(m), key=totals.__getitem__)
     for start, a in enumerate(order):
-        pa, ta = sums[a], totals[a]
-        for b in order[start:]:
+        rows[a][a] = DominanceOutcome.EQUAL
+        pa, ca, ta = sums[a], ceilings[a], totals[a]
+        for b in order[start + 1:]:
             if totals[b] - ta > eps:
                 break
-            left = right = True
-            for sx, sy in zip(pa, sums[b]):
-                if sx > sy + eps:
-                    left = False
-                if sy > sx + eps:
-                    right = False
-                if not (left or right):
-                    break
-            rows[a][b] = OUTCOME[left, right]
-            rows[b][a] = OUTCOME[right, left]
+            if ca is None:
+                ca = ceilings[a] = list(map(eps.__add__, pa))
+            if ceilings[b] is None:
+                ceilings[b] = list(map(eps.__add__, sums[b]))
+            outcome = rows[a][b] = OUTCOME[not any(map(gt, pa, ceilings[b])), not any(map(gt, sums[b], ca))]
+            rows[b][a] = _FLIPPED[outcome]
     return rows
 
 

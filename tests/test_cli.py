@@ -1100,7 +1100,7 @@ def test_timeline_parse_without_header():
 
 
 def _reference_parse(text):
-    """``parse_timeline_csv`` as it was before its bulk check: each row checked and built alone."""
+    """The per-row reference parser: each row checked and built alone, through ``make_array``."""
     rows = []
     num = 0
     try:

@@ -5,7 +5,7 @@ import sys
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from majorize import (
@@ -357,13 +357,18 @@ def per_cell_matrix(arrays, tol, ranked):
 @st.composite
 def small_tables(draw):
     n = draw(st.integers(1, 5))
-    # few distinct values, so equal totals, ties and gaps of exactly eps are common
-    value = st.sampled_from([0, 1, 2, 0.5, 0.25, 0.1, 0.2, 0.3, 1e-9, 1 + 1e-9])
-    rows = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=1, max_size=7))
+    # few distinct values, so equal totals, ties and gaps of exactly eps are
+    # common; near 1e16 adding eps rounds, so a ceiling is not sum + eps exactly
+    value = st.sampled_from([0, 1, 2, 0.5, 0.25, 0.1, 0.2, 0.3, 1e-9, 1 + 1e-9, 1e16, 1e16 + 2, -0.0])
+    # up to 10 rows, so one window of equal totals can hold several of them
+    rows = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=1, max_size=10))
     return [make_array(row) for row in rows]
 
 
-@given(small_tables(), st.sampled_from([0.0, 1e-9, 0.25, None]), st.booleans())
+@given(small_tables(), st.sampled_from([0.0, 1e-9, 0.25, 2.0, None]), st.booleans())
+# one window of equal totals; (1 + 1e-9) - 1 > 1e-9, yet 1 + 1e-9 <= 1 + 1e-9:
+# the ceiling sum + eps decides, not the difference of the sums
+@example([make_array([1 + 1e-9, 0]), make_array([1, 1e-9]), make_array([0.5, 0.5 + 1e-9])], 1e-9, True)
 @settings(max_examples=400)
 def test_dominance_matrix_matches_per_cell_comparisons(arrays, tol, ranked):
     assert dominance_matrix(arrays, tol, ranked) == per_cell_matrix(arrays, tol, ranked)
