@@ -12,7 +12,8 @@ The environment variable ``MAJORIZE_EPS`` overrides the default comparison
 tolerance; ``--eps`` overrides both.
 
 Exit codes: 0 success (dominated/equal, valid certificate), 1 negative result
-(not dominated, invalid certificate, undefined curve), 2 bad input or failed output.
+(not dominated, invalid certificate, undefined curve), 2 bad input, failed output
+or out of memory.
 """
 
 from __future__ import annotations
@@ -428,6 +429,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except MajorizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, _NEGATIVE_RESULTS) else 2
+    except MemoryError:  # valid input too large to hold: an input error, not a traceback
+        print("error: out of memory", file=sys.stderr)
+        return 2
     except OSError as exc:  # every file error is a MajorizeError by now, so stdout failed
         print(f"error: cannot write stdout: {exc}", file=sys.stderr)
         with open(os.devnull, "w") as null:  # so that the flush at exit drops what is left

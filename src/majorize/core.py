@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left, bisect_right
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate
-from operator import ge, gt
+from operator import ge, gt, or_
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 
@@ -370,9 +371,14 @@ def dominance_matrix(
     """Every pairwise outcome: entry ``[a][b]`` compares ``arrays[a]`` with ``arrays[b]``.
 
     Each unordered pair is decided once; its mirror entry is the flip, and
-    the diagonal is ``EQUAL``.  By default an entry above the diagonal is
-    ``compare(arrays[a], arrays[b], eps)``, where ``compare`` is
-    ``generalized_compare`` or a stand-in for it.
+    the diagonal is ``EQUAL``.  By default a pair is first filtered by its
+    running sums at prefixes 1, 2, 4, 8, ... and n: where one of those sums
+    of each array exceeds the other's plus eps, neither array is below the
+    other, and the pair is ``INCOMPARABLE`` without a call.  Every other entry
+    above the diagonal is ``compare(arrays[a], arrays[b], eps)``, called in
+    row-major order, where ``compare`` is ``generalized_compare`` or a
+    stand-in for it.  A stand-in must return ``INCOMPARABLE`` wherever those
+    prefix sums exclude both directions, or the matrix mixes two orders.
 
     With ``ranked`` the outcome is classical majorization in both directions,
     as ``classical_majorizes`` decides it, and ``compare`` is not called.
@@ -390,9 +396,14 @@ def dominance_matrix(
     m = len(arrays)
     rows = [[DominanceOutcome.INCOMPARABLE] * m for _ in range(m)]
     if not ranked:
-        for a, x in enumerate(arrays):
+        for a, (x, maybe) in enumerate(zip(arrays, _maybe_comparable(arrays, eps))):
             rows[a][a] = DominanceOutcome.EQUAL
-            for b in range(a + 1, m):
+            maybe >>= a + 1  # bit p is row b = a + 1 + p
+            b = a
+            while maybe:
+                skip = (maybe & -maybe).bit_length()  # 1 + the lowest set bit's position
+                b += skip
+                maybe >>= skip
                 outcome = rows[a][b] = compare(x, arrays[b], eps)
                 rows[b][a] = _FLIPPED[outcome]
         return rows
@@ -415,6 +426,37 @@ def dominance_matrix(
             outcome = rows[a][b] = OUTCOME[not any(map(gt, pa, ceilings[b])), not any(map(gt, sums[b], ca))]
             rows[b][a] = _FLIPPED[outcome]
     return rows
+
+
+def _maybe_comparable(arrays: Sequence[Array], eps: float) -> list[int]:
+    """Per row a, a bitmask of the rows b that prefix sums 1, 2, 4, 8, ... and n do not exclude.
+
+    Bit b is clear only when some sampled prefix k has ``s_a[k] > c_b[k]`` and
+    some has ``s_b[k] > c_a[k]`` (``c`` the ceilings), so ``generalized_compare``
+    finds the pair ``INCOMPARABLE``: these are the floats it compares.  Any
+    subset of prefixes would be exact; doubling caps the passes at about
+    log2(n) + 1.  Each pass sorts the rows by their k-th sum.  Float ``+ eps``
+    is monotone, so the ceilings fall in the same order, and ``bisect`` finds
+    each row's bound in either column.
+    """
+    sums = [x._sums for x in arrays]
+    ceilings = [x._ceilings(eps) for x in arrays]
+    m = len(arrays)
+    n = len(sums[0]) if m else 0
+    full = (1 << m) - 1
+    below = [full] * m  # b in below[a]: s_a[k] <= c_b[k] at every sampled k
+    above = [full] * m  # b in above[a]: s_b[k] <= c_a[k] at every sampled k
+    for k in (*(1 << i for i in range((n - 1).bit_length())), n):
+        col = [s[k - 1] for s in sums]
+        top = [c[k - 1] for c in ceilings]
+        order = sorted(range(m), key=col.__getitem__)
+        col_sorted = [col[b] for b in order]
+        top_sorted = [top[b] for b in order]
+        lowest = [0, *accumulate([1 << b for b in order], or_)]  # lowest[j]: the rows of the j smallest sums
+        for a in range(m):
+            below[a] &= full ^ lowest[bisect_left(top_sorted, col[a])]
+            above[a] &= lowest[bisect_right(col_sorted, top[a])]
+    return [*map(or_, below, above)]
 
 
 def dominates_or_equal(outcome: DominanceOutcome) -> bool:

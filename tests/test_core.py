@@ -374,6 +374,40 @@ def test_dominance_matrix_matches_per_cell_comparisons(arrays, tol, ranked):
     assert dominance_matrix(arrays, tol, ranked) == per_cell_matrix(arrays, tol, ranked)
 
 
+@st.composite
+def chained_tables(draw):
+    """Chains of rows over 6 to 40 periods, each row one move from the row before it.
+
+    With at least 6 periods the prefix filter skips some prefixes.  A move
+    adds an amount at one position, or moves it there from a later one, so
+    each row is comparable with the one before it and many cells are.
+    """
+    n = draw(st.integers(6, 40))
+    value = st.sampled_from([0, 1, 2, 0.25, 1e-9, 1 + 1e-9, 1e16, 1e16 + 2, -0.0])
+    amount = st.sampled_from([1, 2, 0.25, 1e-9])  # 0.25 and 1e-9: gaps of exactly eps
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        row = draw(st.lists(value, min_size=n, max_size=n))
+        rows.append(row)
+        for _ in range(draw(st.integers(0, 5))):
+            row = [*row]
+            i = draw(st.integers(0, n - 1))
+            j = draw(st.integers(i, n - 1))
+            a = draw(amount)
+            if j > i:  # a transfer from j to the earlier i, else an increase at i
+                a = min(a, row[j])
+                row[j] -= a
+            row[i] += a
+            rows.append(row)
+    return [make_array(row) for row in draw(st.permutations(rows))]
+
+
+@given(chained_tables(), st.sampled_from([0.0, 1e-9, 0.25, None]))
+@settings(max_examples=300)
+def test_prefix_filtered_matrix_matches_per_cell_comparisons(arrays, tol):
+    assert dominance_matrix(arrays, tol) == per_cell_matrix(arrays, tol, False)
+
+
 def test_dominance_matrix_edges():
     assert dominance_matrix([]) == []
     assert dominance_matrix([make_array([3])], ranked=True) == [[EQ]]
