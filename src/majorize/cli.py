@@ -32,9 +32,9 @@ from .core import (
     Array,
     DominanceOutcome,
     MajorizeError,
+    _dominance_rows,
     _float_array,
     as_eps,
-    dominance_matrix,
     dominates_or_equal,
     generalized_compare,
     make_array,
@@ -236,7 +236,7 @@ def _cmd_decompose(args) -> int:
         if out is not None:
             pieces = cert._json_pieces(show)  # each state is formatted once for both outputs
         elif show is not None:
-            for texts in state_texts((cert.source, *cert.intermediates)):
+            for texts in state_texts((cert.source, *cert.intermediates), cert.steps):
                 show(texts)
         print("already equal" if show is None else "")  # "" ends the printed chain's line
         if out is not None:
@@ -295,18 +295,26 @@ def _cmd_batch(args) -> int:
     tol = _tolerance(args)
     table = _load_table(args)
     ids = list(table)
-    symbol = _OUTCOME_SYMBOL.__getitem__
     # generalized_compare is passed from this module, where bench/run.py traces it
-    rows = ["\t".join(map(symbol, row)) for row in dominance_matrix(
-        list(table.values()), tol, args.mode == "classical", generalized_compare)]
+    cells = _dominance_rows(list(table.values()), tol, args.mode == "classical",
+                            generalized_compare, _OUTCOME_SYMBOL)
+    # each row of symbols is joined once per output and let go, so no matrix
+    # of strings and no whole-matrix text is ever held
+    lines = ["\t".join(["id", *ids]) + "\n"]
+    json_rows = []
+    sep = '["'
+    for a, eid in enumerate(ids):
+        row, cells[a] = cells[a], None
+        lines.append(eid + "\t" + "\t".join(row) + "\n")
+        if args.out:
+            json_rows.append(sep + '", "'.join(row) + '"]')
+            sep = ', ["'
     if args.out:
         # json.dumps(report, ensure_ascii=False), with the matrix joined here:
         # json escapes the ids, and the four symbols need no escape
         head = json.dumps({"mode": args.mode, "eps": tol, "ids": ids}, ensure_ascii=False)
-        matrix = ", ".join(['["' + row.replace("\t", '", "') + '"]' for row in rows])
-        _write_pieces(_open_out(args.out), [head[:-1], ', "matrix": [', matrix, "]}\n"])
-    sys.stdout.write("\t".join(["id", *ids]) + "\n"
-                     + "".join([f"{eid}\t{row}\n" for eid, row in zip(ids, rows)]))
+        _write_pieces(_open_out(args.out), [head[:-1], ', "matrix": [', *json_rows, "]}\n"])
+    sys.stdout.writelines(lines)
     return 0
 
 

@@ -19,7 +19,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import accumulate
 from operator import ge, gt, or_
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +337,8 @@ OUTCOME = {
 }
 # the outcome with left and right swapped
 _FLIPPED = {outcome: OUTCOME[right, left] for (left, right), outcome in OUTCOME.items()}
+# each outcome as itself: the cells of dominance_matrix
+_IDENTITY = {outcome: outcome for outcome in DominanceOutcome}
 
 
 def _require_same_length(x: Array, y: Array) -> None:
@@ -390,22 +392,35 @@ def dominance_matrix(
     one window after it, because float subtraction is monotone: the first
     total beyond eps ends the window.
     """
-    eps = as_eps(tol)
+    return _dominance_rows(arrays, as_eps(tol), ranked, compare, _IDENTITY)
+
+
+def _dominance_rows(arrays: Sequence[Array], eps: float, ranked: bool,
+                    compare: Callable[[Array, Array, float], DominanceOutcome],
+                    cells: Mapping[DominanceOutcome, object]) -> list[list]:
+    """``dominance_matrix``'s rows with ``cells[outcome]`` stored for each outcome.
+
+    The cells are stored as each pair is decided, so a caller that prints a
+    symbol per outcome keeps one matrix, of symbols, and maps no cell again.
+    """
     for y in arrays[1:]:
         _require_same_length(arrays[0], y)
     m = len(arrays)
-    rows = [[DominanceOutcome.INCOMPARABLE] * m for _ in range(m)]
+    rows = [[cells[DominanceOutcome.INCOMPARABLE]] * m for _ in range(m)]
+    equal = cells[DominanceOutcome.EQUAL]
+    # the pair's cell and its mirror's, by outcome
+    pair = {outcome: (cells[outcome], cells[_FLIPPED[outcome]]) for outcome in DominanceOutcome}
     if not ranked:
         for a, (x, maybe) in enumerate(zip(arrays, _maybe_comparable(arrays, eps))):
-            rows[a][a] = DominanceOutcome.EQUAL
+            row = rows[a]
+            row[a] = equal
             maybe >>= a + 1  # bit p is row b = a + 1 + p
             b = a
             while maybe:
                 skip = (maybe & -maybe).bit_length()  # 1 + the lowest set bit's position
                 b += skip
                 maybe >>= skip
-                outcome = rows[a][b] = compare(x, arrays[b], eps)
-                rows[b][a] = _FLIPPED[outcome]
+                row[b], rows[b][a] = pair[compare(x, arrays[b], eps)]
         return rows
     sums = [list(accumulate(sorted(x.values, reverse=True))) for x in arrays]
     totals = [run.pop() for run in sums]  # compared apart from the scan
@@ -413,8 +428,10 @@ def dominance_matrix(
     # row when it first meets another: in many tables most rows meet none
     ceilings = sums if eps == 0.0 else [None] * m
     order = sorted(range(m), key=totals.__getitem__)
+    verdict_pair = {key: pair[outcome] for key, outcome in OUTCOME.items()}
     for start, a in enumerate(order):
-        rows[a][a] = DominanceOutcome.EQUAL
+        row = rows[a]
+        row[a] = equal
         pa, ca, ta = sums[a], ceilings[a], totals[a]
         for b in order[start + 1:]:
             if totals[b] - ta > eps:
@@ -423,8 +440,7 @@ def dominance_matrix(
                 ca = ceilings[a] = list(map(eps.__add__, pa))
             if ceilings[b] is None:
                 ceilings[b] = list(map(eps.__add__, sums[b]))
-            outcome = rows[a][b] = OUTCOME[not any(map(gt, pa, ceilings[b])), not any(map(gt, sums[b], ca))]
-            rows[b][a] = _FLIPPED[outcome]
+            row[b], rows[b][a] = verdict_pair[not any(map(gt, pa, ceilings[b])), not any(map(gt, sums[b], ca))]
     return rows
 
 

@@ -150,7 +150,7 @@ class Certificate(_Record):
         from the final state.  ``each_state`` gets the texts of the source and
         of each intermediate as they are formatted.
         """
-        states = state_texts((self.source, *self.intermediates, self.target))
+        states = state_texts((self.source, *self.intermediates, self.target), self.steps)
         source = next(states)
         if each_state is not None:
             each_state(source)
@@ -295,23 +295,36 @@ def _intermediates(rows: list, raw: list, values: tuple[float, ...],
     return arrays
 
 
-def state_texts(states: Iterable[Array]) -> Iterator[list[str]]:
+def state_texts(states: Iterable[Array], steps: Iterable[Step] = ()) -> Iterator[list[str]]:
     """Each state's numbers as ``str(plain_number(v))``, for states of one length.
 
     Consecutive chain states differ in one or two positions (a sort only
     reorders), so each state's texts are its predecessor's with just the
-    positions whose values differ formatted again.  Only the recorded values
-    are compared, never the steps; equal values print alike (``-0.0`` as ``0``).
+    changed positions formatted again; equal values print alike (``-0.0`` as
+    ``0``).  ``steps[t]`` is the step into ``states[t + 1]``, taken as a hint:
+    the positions it writes are the only ones formatted again once three
+    C-level slice compares show the values before, between and after them
+    unchanged.  Past a sort, a step beyond the end, the last step (the target
+    has none), or where a state also differs elsewhere, the values are
+    compared one by one, so hand-built or tampered certificates encode as before.
     """
     prev: Optional[Sequence[float]] = None
     texts: list[str] = []
-    for z in states:
+    for z, step in zip(states, chain((None,), steps, repeat(None))):
         cur = z.values
         if prev is None:
             texts = [str(plain_number(v)) for v in cur]
         else:
             texts = texts.copy()
-            for k in compress(count(), map(ne, prev, cur)):
+            changed = _written(step, len(cur))
+            if changed is not None:
+                lo, hi = changed[0], changed[-1]
+                if not (prev[:lo] == cur[:lo] and prev[lo + 1:hi] == cur[lo + 1:hi]
+                        and prev[hi + 1:] == cur[hi + 1:]):
+                    changed = None
+            if changed is None:
+                changed = compress(count(), map(ne, prev, cur))
+            for k in changed:
                 texts[k] = str(plain_number(cur[k]))
         yield texts
         prev = cur

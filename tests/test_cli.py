@@ -369,7 +369,7 @@ def test_out_of_memory_exits_two_with_one_line_and_no_traceback(tmp_path, monkey
     def too_large(*args):
         raise MemoryError
 
-    monkeypatch.setattr(majorize.cli, "dominance_matrix", too_large)
+    monkeypatch.setattr(majorize.cli, "_dominance_rows", too_large)
     code, out, err = run(capsys, "batch", "--input", str(table))
     assert (code, out, err) == (2, "", "error: out of memory\n")
 
@@ -1042,6 +1042,29 @@ def test_batch_writes_what_the_cell_by_cell_encoder_writes(fuzz_file, ids, n, da
         {eid: make_array(row) for eid, row in zip(ids, rows)}, mode, eps)
     assert stdout.getvalue() == expected_stdout
     assert report.read_bytes() == expected_report.encode("utf-8")
+
+
+def test_batch_peak_memory_per_cell(tmp_path):
+    # the matrix holds one symbol per cell, and each row is let go once its stdout
+    # line and JSON row are joined: about 4 + 10 bytes of UCS-2 text per cell at
+    # the end, with no whole-matrix string; keeping the matrix alive while joining
+    # reads about 24 bytes per cell, and whole-text joins about 38
+    m, n = 1000, 36
+    rng = random.Random(1)
+    table = tmp_path / "t.csv"
+    table.write_text("".join(f"u{k}," + ",".join([str(rng.randint(0, 100)) for _ in range(n)]) + "\n"
+                             for k in range(m)))
+    argv = ["batch", "--input", str(table), "--mode", "classical", "--eps", "0",
+            "--out", str(tmp_path / "r.json")]
+    with open(os.devnull, "w", encoding="utf-8") as devnull, contextlib.redirect_stdout(devnull):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak <= 20 * m * m, peak / (m * m)
 
 
 _TOKENS = st.sampled_from(["a", "b", "id", "1,2", "0,0", "-1", "--eps", ""]) | st.text(max_size=12)
