@@ -299,21 +299,26 @@ def _cmd_batch(args) -> int:
     cells = _dominance_rows(list(table.values()), tol, args.mode == "classical",
                             generalized_compare, _OUTCOME_SYMBOL)
     # each row of symbols is joined once per output and let go, so no matrix
-    # of strings and no whole-matrix text is ever held
+    # of strings and no whole-matrix text is ever held; stdout follows --out,
+    # so only its lines are kept until the file is closed
     lines = ["\t".join(["id", *ids]) + "\n"]
-    json_rows = []
-    sep = '["'
-    for a, eid in enumerate(ids):
-        row, cells[a] = cells[a], None
-        lines.append(eid + "\t" + "\t".join(row) + "\n")
-        if args.out:
-            json_rows.append(sep + '", "'.join(row) + '"]')
-            sep = ', ["'
-    if args.out:
-        # json.dumps(report, ensure_ascii=False), with the matrix joined here:
-        # json escapes the ids, and the four symbols need no escape
-        head = json.dumps({"mode": args.mode, "eps": tol, "ids": ids}, ensure_ascii=False)
-        _write_pieces(_open_out(args.out), [head[:-1], ', "matrix": [', *json_rows, "]}\n"])
+    out = _open_out(args.out) if args.out else None
+    try:
+        with out or contextlib.nullcontext():
+            if out is not None:
+                # json.dumps(report, ensure_ascii=False), with the matrix joined here:
+                # json escapes the ids, and the four symbols need no escape
+                head = json.dumps({"mode": args.mode, "eps": tol, "ids": ids}, ensure_ascii=False)
+                out.write(head[:-1] + ', "matrix": [')
+            for a, eid in enumerate(ids):
+                row, cells[a] = cells[a], None
+                lines.append(eid + "\t" + "\t".join(row) + "\n")
+                if out is not None:
+                    out.write((', ["' if a else '["') + '", "'.join(row) + '"]')
+            if out is not None:
+                out.write("]}\n")
+    except OSError as exc:
+        raise MajorizeError(f"cannot write {args.out}: {exc}") from exc
     sys.stdout.writelines(lines)
     return 0
 

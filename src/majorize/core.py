@@ -13,10 +13,11 @@ to 2**53 exactly).
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from operator import ge, gt, or_
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
@@ -201,21 +202,35 @@ class Array(_Record):
         """The running sums of ``values``, left to right, computed on first use."""
         return array("d", accumulate(self.values))
 
-    def _ceilings(self, eps: float) -> array:
-        """``_sums`` plus eps, one float add per entry, kept for the last eps asked.
+    @cached_property
+    def _packed(self) -> int:
+        """``_sums`` as one int, a 64-bit field per double, with every sign bit clear so -0.0 reads as 0.0."""
+        h = _sign_bits(len(self.values))
+        return (int.from_bytes(self._sums.tobytes(), sys.byteorder) | h) ^ h  # not & ~h: ~h is slow
 
-        Adding eps inside each comparison instead makes a ``batch`` at the
-        default eps slower than adding both rows up in a Python loop.
+    def _guarded(self, eps: float) -> int:
+        """The ceilings ``_sums`` plus eps, packed as ``_packed`` with every sign bit set.
+
+        They are kept for the last eps asked: adding eps inside each
+        comparison made a ``batch`` at the default eps slower than adding both
+        rows up in a Python loop.
         """
-        if eps == 0.0:
-            return self._sums
-        memo = self.__dict__.get("_ceiling_memo")
+        memo = self.__dict__.get("_guard_memo")
         if memo is None or memo[0] != eps:
-            memo = self.__dict__["_ceiling_memo"] = (eps, array("d", map(eps.__add__, self._sums)))
+            h = _sign_bits(len(self.values))
+            ceilings = self._packed if eps == 0.0 else int.from_bytes(
+                array("d", map(eps.__add__, self._sums)).tobytes(), sys.byteorder)
+            memo = self.__dict__["_guard_memo"] = (eps, ceilings | h)
         return memo[1]
 
     def __getstate__(self) -> dict:
         return {"values": self.values}
+
+
+@lru_cache(maxsize=64)
+def _sign_bits(n: int) -> int:
+    """The sign bit of each of n doubles packed as ``Array._packed`` packs them: n packed -0.0."""
+    return int.from_bytes(array("d", [-0.0]).tobytes() * n, sys.byteorder)
 
 
 def make_array(values: Iterable[float]) -> Array:
@@ -354,13 +369,21 @@ def generalized_compare(x: Array, y: Array, tol: Optional[float] = None) -> Domi
     the arrays count as equal.  Antisymmetry and transitivity are exact when
     ``eps = 0``.
 
-    Each array's running sums and their ceilings (the sums plus eps) are
-    computed once and kept on the array, so a pair costs two C-level scans.
+    Each array packs its running sums once into one int, a 64-bit field per
+    sum (``Array._packed``), and its ceilings, the sums plus eps, the same way
+    with every field's sign bit set (``Array._guarded``).  A direction is then
+    one big-int subtraction, ceilings minus sums.  Every sum is finite and
+    >= 0 and every ceiling >= 0 or +inf, and such doubles sort as their bit
+    patterns do, so a field holds 2**63 + c - s, which lies in [1, 2**64): no
+    borrow crosses into the next field, and its top bit is set exactly when
+    ``s <= c`` as floats.  These are the floats a scan compares with ``>``,
+    so each outcome is the scan's.
     """
     _require_same_length(x, y)
     eps = as_eps(tol)
-    left = not any(map(gt, x._sums, y._ceilings(eps)))
-    right = not any(map(gt, y._sums, x._ceilings(eps)))
+    h = _sign_bits(len(x.values))
+    left = (y._guarded(eps) - x._packed) & h == h
+    right = (x._guarded(eps) - y._packed) & h == h
     return OUTCOME[left, right]
 
 
@@ -456,7 +479,6 @@ def _maybe_comparable(arrays: Sequence[Array], eps: float) -> list[int]:
     each row's bound in either column.
     """
     sums = [x._sums for x in arrays]
-    ceilings = [x._ceilings(eps) for x in arrays]
     m = len(arrays)
     n = len(sums[0]) if m else 0
     full = (1 << m) - 1
@@ -464,7 +486,7 @@ def _maybe_comparable(arrays: Sequence[Array], eps: float) -> list[int]:
     above = [full] * m  # b in above[a]: s_b[k] <= c_a[k] at every sampled k
     for k in (*(1 << i for i in range((n - 1).bit_length())), n):
         col = [s[k - 1] for s in sums]
-        top = [c[k - 1] for c in ceilings]
+        top = [*map(eps.__add__, col)]
         order = sorted(range(m), key=col.__getitem__)
         col_sorted = [col[b] for b in order]
         top_sorted = [top[b] for b in order]

@@ -341,6 +341,56 @@ def test_compare_from_kept_running_sums_matches_the_python_loop(pair, eps_seq):
         assert clone == twin and pickle.dumps(clone) == pickle.dumps(twin)
 
 
+# lengths on both sides of the 30-bit digits of a Python int and of the 64-bit
+# fields that generalized_compare packs the running sums into
+WIDE_LENGTHS = [1, 2, 7, 8, 9, 15, 16, 17, 64, 65]
+# at sys.float_info.max a ceiling overflows to +inf once its sum reaches 2**970
+WIDE_EPS = [0.0, 5e-324, 1e-9, 0.5, sys.float_info.max]
+# subnormals, magnitudes from 1e-300 to 1e300 and small integers: 65 values
+# of at most 1e300 keep every total far below 2**1020
+WIDE_VALUE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1.0, 2.0, 1e300]),
+    st.floats(0.0, 2.2e-308),
+    st.floats(1e-300, 1e300),
+    st.integers(0, 100).map(float),
+)
+
+
+@st.composite
+def wide_rows(draw, n):
+    """A row of ``WIDE_VALUE`` after a run of -0.0, which may be empty."""
+    zeros = draw(st.integers(0, n))
+    return [-0.0] * zeros + draw(st.lists(WIDE_VALUE, min_size=n - zeros, max_size=n - zeros))
+
+
+@st.composite
+def moved_row(draw, row):
+    """``row`` with up to three values redrawn, doubled or halved, and maybe its -0.0 made 0.0."""
+    row = [*row]
+    for i in draw(st.lists(st.integers(0, len(row) - 1), max_size=3)):
+        row[i] = draw(st.one_of(WIDE_VALUE, st.just(row[i] * 2), st.just(row[i] / 2)))
+    return [v + 0.0 for v in row] if draw(st.booleans()) else row
+
+
+@st.composite
+def wide_pairs(draw):
+    x = draw(wide_rows(draw(st.sampled_from(WIDE_LENGTHS))))
+    return make_array(x), make_array(draw(moved_row(x)))
+
+
+@given(wide_pairs(), st.sampled_from(WIDE_EPS))
+@example((make_array([-0.0, -0.0, 1]), make_array([0, 0, 1])), 0.0)  # EQUAL both ways
+@example((make_array([5e-324]), make_array([0.0])), 0.0)
+@example((make_array([5e-324]), make_array([0.0])), 5e-324)
+@example((make_array([1.0] * 65), make_array([1.0] * 64 + [2.0])), 0.0)  # only the total differs
+@example((make_array([1e300, 0.0]), make_array([0.0, 1e300])), sys.float_info.max)
+@settings(max_examples=500, deadline=None)
+def test_packed_compare_matches_the_python_loop_on_wide_range_floats(pair, eps):
+    x, y = pair
+    assert generalized_compare(x, y, eps) is loop_compare(x, y, eps)
+    assert generalized_compare(y, x, eps) is loop_compare(y, x, eps)
+
+
 # ---------------------------------------------------------------------------
 # dominance matrix
 # ---------------------------------------------------------------------------
@@ -406,6 +456,27 @@ def chained_tables(draw):
 @settings(max_examples=300)
 def test_prefix_filtered_matrix_matches_per_cell_comparisons(arrays, tol):
     assert dominance_matrix(arrays, tol) == per_cell_matrix(arrays, tol, False)
+
+
+@st.composite
+def wide_tables(draw):
+    """Up to 4 rows of ``WIDE_VALUE``, each followed by up to 3 rows moved from it."""
+    n = draw(st.sampled_from(WIDE_LENGTHS))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = draw(wide_rows(n))
+        rows.append(row)
+        for _ in range(draw(st.integers(0, 3))):
+            row = draw(moved_row(row))
+            rows.append(row)
+    return [make_array(row) for row in draw(st.permutations(rows))]
+
+
+@given(wide_tables(), st.sampled_from(WIDE_EPS))
+@settings(max_examples=200, deadline=None)
+def test_general_matrix_matches_the_python_loop_on_wide_range_floats(arrays, eps):
+    # loop_compare, not per_cell_matrix: that calls generalized_compare, the kernel under test
+    assert dominance_matrix(arrays, eps) == [[loop_compare(x, y, eps) for y in arrays] for x in arrays]
 
 
 def test_dominance_matrix_edges():
