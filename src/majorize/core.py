@@ -387,12 +387,8 @@ def generalized_compare(x: Array, y: Array, tol: Optional[float] = None) -> Domi
     return OUTCOME[left, right]
 
 
-def dominance_matrix(
-    arrays: Sequence[Array],
-    tol: Optional[float] = None,
-    ranked: bool = False,
-    compare: Callable[[Array, Array, float], DominanceOutcome] = generalized_compare,
-) -> list[list[DominanceOutcome]]:
+def dominance_matrix(arrays: Sequence[Array], tol: Optional[float] = None,
+                     ranked: bool = False) -> list[list[DominanceOutcome]]:
     """Every pairwise outcome: entry ``[a][b]`` compares ``arrays[a]`` with ``arrays[b]``.
 
     Each unordered pair is decided once; its mirror entry is the flip, and
@@ -400,22 +396,19 @@ def dominance_matrix(
     running sums at prefixes 1, 2, 4, 8, ... and n: where one of those sums
     of each array exceeds the other's plus eps, neither array is below the
     other, and the pair is ``INCOMPARABLE`` without a call.  Every other entry
-    above the diagonal is ``compare(arrays[a], arrays[b], eps)``, called in
-    row-major order, where ``compare`` is ``generalized_compare`` or a
-    stand-in for it.  A stand-in must return ``INCOMPARABLE`` wherever those
-    prefix sums exclude both directions, or the matrix mixes two orders.
+    above the diagonal is ``generalized_compare(arrays[a], arrays[b], eps)``,
+    called in row-major order.
 
     With ``ranked`` the outcome is classical majorization in both directions,
-    as ``classical_majorizes`` decides it, and ``compare`` is not called.
-    Each array's ranked running sums, and their ceilings (the sums plus eps),
-    are computed once, in the order ``classical_majorizes`` adds them, so a
-    pair costs two C-level scans and the outcomes are its exactly.  Pairs
-    whose totals differ by more than eps are ``INCOMPARABLE`` without a scan.
-    Once the arrays are sorted by total, the pairs within eps of an array form
-    one window after it, because float subtraction is monotone: the first
-    total beyond eps ends the window.
+    as ``classical_majorizes`` decides it.  Each array's ranked running sums,
+    and their ceilings (the sums plus eps), are computed once, in the order
+    ``classical_majorizes`` adds them, so a pair costs two C-level scans and
+    the outcomes are its exactly.  Pairs whose totals differ by more than eps
+    are ``INCOMPARABLE`` without a scan.  Once the arrays are sorted by total,
+    the pairs within eps of an array form one window after it, because float
+    subtraction is monotone: the first total beyond eps ends the window.
     """
-    return _dominance_rows(arrays, as_eps(tol), ranked, compare, _IDENTITY)
+    return _dominance_rows(arrays, as_eps(tol), ranked, generalized_compare, _IDENTITY)
 
 
 def _dominance_rows(arrays: Sequence[Array], eps: float, ranked: bool,
@@ -425,6 +418,11 @@ def _dominance_rows(arrays: Sequence[Array], eps: float, ranked: bool,
 
     The cells are stored as each pair is decided, so a caller that prints a
     symbol per outcome keeps one matrix, of symbols, and maps no cell again.
+    ``compare`` decides the pairs the prefix filter leaves, unless ``ranked``,
+    when it is not called.  It is ``generalized_compare`` or a stand-in for
+    it, such as a traced copy; a stand-in must return ``INCOMPARABLE``
+    wherever the sampled prefix sums exclude both directions, or the matrix
+    mixes two orders.
     """
     for y in arrays[1:]:
         _require_same_length(arrays[0], y)

@@ -472,11 +472,16 @@ def wide_tables(draw):
     return [make_array(row) for row in draw(st.permutations(rows))]
 
 
-@given(wide_tables(), st.sampled_from(WIDE_EPS))
+@given(wide_tables(), st.sampled_from(WIDE_EPS), st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_general_matrix_matches_the_python_loop_on_wide_range_floats(arrays, eps):
-    # loop_compare, not per_cell_matrix: that calls generalized_compare, the kernel under test
-    assert dominance_matrix(arrays, eps) == [[loop_compare(x, y, eps) for y in arrays] for x in arrays]
+def test_general_matrix_matches_the_python_loop_on_wide_range_floats(arrays, eps, ranked):
+    # independent Python loops, not per_cell_matrix: that calls generalized_compare,
+    # the general kernel under test
+    def cell(x, y):
+        if ranked:
+            return OUTCOME[classical_majorizes(x, y, eps), classical_majorizes(y, x, eps)]
+        return loop_compare(x, y, eps)
+    assert dominance_matrix(arrays, eps, ranked) == [[cell(x, y) for y in arrays] for x in arrays]
 
 
 def test_dominance_matrix_edges():
