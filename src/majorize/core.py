@@ -243,9 +243,9 @@ def _float_array(vals: tuple[float, ...], new: Optional[Sequence[float]] = None)
 
     The producer records each state this way.  ``new`` names the values that
     changed from a state already checked: only their signs are checked then,
-    while the total is always.  Values that fail this fast check go through
-    ``Array(vals)``, so they raise exactly its errors, from the first bad
-    component.
+    while the total is always; ``new=()`` means the signs are already known.
+    Values that fail this fast check go through ``Array(vals)``, so they
+    raise exactly its errors, from the first bad component.
     """
     if vals and min(vals if new is None else new, default=0.0) >= 0.0 and sum(vals) < _SAFE_TOTAL:
         arr = object.__new__(Array)

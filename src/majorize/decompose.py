@@ -28,7 +28,7 @@ import json
 import random
 from enum import Enum
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, eq, gt, is_not, le, ne
+from operator import add, eq, gt, le, ne
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import (
@@ -169,26 +169,25 @@ class Certificate(_Record):
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
+        # every number, ints and NaN/Infinity too, is a float: one object per distinct text
         memo = _FloatMemo()
         try:
-            data = json.loads(text, parse_float=memo.__getitem__)
-        except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an int over the digit limit
+            data = json.loads(text, parse_float=memo.__getitem__, parse_int=memo.__getitem__,
+                              parse_constant=memo.__getitem__)
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, or bytes that do not decode
             raise MalformedCertificate(f"not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise MalformedCertificate("certificate JSON must be an object")
         try:
             mode = CertificateMode(data["mode"])
-            raw_source = data["source"]
-            source = make_array(_numbers(raw_source, "source"))
+            source = make_array(_numbers(data["source"], "source"))
             target = make_array(_numbers(data["target"], "target"))
             # built from lists, as in Array, so that no tuple is resized
             steps = tuple([_step_from_dict(s) for s in _array(data["steps"], "steps")])
-            # a row is decoded at its step's positions only where equal entries are
-            # surely equal numbers: with no boolean (True == 1) and no -0.0 (-0.0 == 0)
+            # with no minus sign and no boolean, a row of floats is non-negative as it stands
             plain = not (memo.signed() or _may_hold_booleans(text))
             intermediates = tuple(_intermediates(_array(data["intermediates"], "intermediates"),
-                                                 raw_source, source.values,
-                                                 steps if plain else ()))
+                                                 len(source), plain))
             return cls(source, target, steps, intermediates, mode)
         except MalformedCertificate:
             raise
@@ -196,7 +195,7 @@ class Certificate(_Record):
             raise MalformedCertificate(f"bad certificate data: {exc}") from exc
 
 
-_JSON_NUMBER_TYPES = {int, float}  # as json.loads builds them; bool is excluded
+_JSON_NUMBER_TYPES = {float}  # from_json parses every number as a float; bool is excluded
 
 
 def _array(value, what: str) -> list:
@@ -255,43 +254,25 @@ def _written(step: Optional[Step], n: int) -> Optional[tuple[int, ...]]:
     return None
 
 
-def _intermediates(rows: list, raw: list, values: tuple[float, ...],
-                   steps: Sequence[Step]) -> list[Array]:
-    """Each row as ``make_array(_numbers(row, "intermediate"))``, decoded from the row before.
+def _intermediates(rows: list, n: int, plain: bool) -> list[Array]:
+    """Each row as ``make_array(_numbers(row, "intermediate"))``.
 
-    ``raw`` is the source's JSON list and ``values`` its floats.  A chain
-    state differs from the one before in a position or two, so only those
-    positions are type-checked, converted and checked for sign.  A row that
-    equals the row before with its step's positions put in (one C-level list
-    compare) changed at most there; ``steps`` may be empty where equal
-    entries need not be equal numbers.  Any other row is diffed by identity
-    (``_FloatMemo`` gives repeated float texts one object).  A row that is
-    not a list of the source's length, and every row after it, is decoded
-    whole, so the errors and their order stay ``make_array``'s.
+    Where ``plain`` says that no number text had a minus sign and no boolean
+    occurs, a list of ``n`` entries already is its state: its floats are
+    non-negative, so only its total is checked, and that check also fails
+    ``NaN`` and ``inf``.  A string, ``null``, list or object entry makes that
+    sum raise ``TypeError``; such a row, and any other, is decoded whole, so
+    the errors and their order are those of decoding each row on its own.
     """
     arrays: list[Array] = []
-    n = len(raw)
-    state = list(values)
-    for row, step in zip(rows, chain(steps, repeat(None))):
-        if type(row) is not list or len(row) != n:
-            break
-        changed = _written(step, n)
-        if changed is not None:
-            probe = raw.copy()
-            for k in changed:
-                probe[k] = row[k]
-            if probe != row:
-                changed = None
-        if changed is None:
-            changed = list(compress(count(), map(is_not, row, raw)))
-        if not _JSON_NUMBER_TYPES.issuperset([type(row[k]) for k in changed]):
-            raise MalformedCertificate("intermediate must hold only numbers")
-        for k in changed:
-            state[k] = float(row[k])
-        # Array's errors, from its first bad component
-        arrays.append(_float_array(tuple(state), [state[k] for k in changed]))
-        raw = row
-    arrays += [make_array(_numbers(row, "intermediate")) for row in rows[len(arrays):]]
+    for row in rows:
+        if plain and type(row) is list and len(row) == n:
+            try:
+                arrays.append(_float_array(tuple(row), ()))
+                continue
+            except TypeError:
+                pass
+        arrays.append(make_array(_numbers(row, "intermediate")))
     return arrays
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import random
+import re
 
 from majorize import Array, make_array
 
@@ -85,3 +87,20 @@ def random_eii_case(seed: int, max_n: int = 12, max_value: int = 100):
         return x, Transfer(i, j, a)
     i = rng.randint(1, n)
     return x, Increase(i, float(rng.randint(1, 50)))
+
+
+class NumberText:
+    """A JSON number given by its text, such as the int ``-0``, which ``json.dumps`` writes as
+    ``0``, or an int past the digit limit, which it refuses."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __repr__(self) -> str:
+        return f"<{len(self.text)}-character number>"
+
+
+def dumps(value) -> str:
+    """``json.dumps(value)``, with each ``NumberText`` written as its bare text."""
+    text = json.dumps(value, default=lambda number: "\0" + number.text + "\0")
+    return re.sub(r'"\\u0000([-+.\de]*)\\u0000"', r"\1", text)

@@ -6,7 +6,6 @@ import json
 import math
 import os
 import random
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -35,6 +34,7 @@ import majorize.decompose
 import majorize.lorenz
 from majorize.cli import build_parser, main, parse_timeline_csv
 from majorize.core import EXACT, OUTCOME, plain_number
+from genpairs import NumberText, dumps
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -659,6 +659,30 @@ def test_verify_wrongly_typed_certificate_exits_two(tmp_path, capsys, text):
     assert err.startswith("error:") and err.count("\n") == 1, err
 
 
+_INCREASE_AT = ('{"mode": "general", "source": [1, 1], "target": [2, 1],'
+                ' "steps": [{"type": "increase", "i": %s, "a": 1}], "intermediates": [[2, 1]]}')
+
+
+@pytest.mark.parametrize("text,line", [
+    (_INCREASE_AT % "0", "bad step {'type': 'increase', 'i': 0.0, 'a': 1.0}: "
+                         "i must be >= 1 (indices are 1-based), got 0.0"),
+    ('{"mode": "general", "source": [1, 1], "target": [2, 1], "steps": [], "intermediates": 3}',
+     "intermediates must be a JSON array, got float"),
+    ('{"mode": "general", "source": [1, %s], "target": [2, 1], "steps": [], "intermediates": []}'
+     % OVER_DIGIT_LIMIT, "bad certificate data: component 2 must be a finite non-negative number, "
+                         "got inf"),
+    (_INCREASE_AT % ("1" * 400), "bad step {'type': 'increase', 'i': inf, 'a': 1.0}: "
+                                 "i must be an integer, got inf"),
+], ids=["zero-index", "number-intermediates", "digit-limit-component", "400-digit-index"])
+def test_verify_quotes_every_json_number_as_a_float(tmp_path, capsys, text, line):
+    # every JSON number decodes to a float, so an int past the float range reads as inf,
+    # on every Python version, with or without an int digit limit
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(text)
+    code, out, err = run(capsys, "verify", "--cert", str(cert_file))
+    assert (code, out, err) == (2, "", f"error: {cert_file}: {line}\n")
+
+
 @pytest.mark.parametrize("target,intermediate", [([2, 1, 0], [2, 1]), ([2, 1], [2, 1, 0])],
                          ids=["long-target", "long-intermediate"])
 def test_verify_certificate_arrays_of_different_lengths_exit_two(tmp_path, capsys, target,
@@ -690,24 +714,8 @@ def test_verify_undecodable_file_exits_two(tmp_path, capsys):
     assert "cannot read" in err
 
 
-class _NumberText:
-    """A JSON number given by its text, such as an int past the digit limit that ``json.dumps`` refuses."""
-
-    def __init__(self, text: str):
-        self.text = text
-
-    def __repr__(self) -> str:
-        return f"<{len(self.text)}-character number>"
-
-
-def _dumps(value) -> str:
-    """``json.dumps(value)``, with each ``_NumberText`` written as its bare text."""
-    text = json.dumps(value, default=lambda number: "\0" + number.text + "\0")
-    return re.sub(r'"\\u0000([-+.\de]*)\\u0000"', r"\1", text)
-
-
 _NUMBER_TEXTS = st.builds(
-    lambda sign, digits, tail: _NumberText(sign + "1" * digits + tail),
+    lambda sign, digits, tail: NumberText(sign + "1" * digits + tail),
     st.sampled_from(["", "-"]), st.integers(4301, 6000), st.sampled_from(["", ".5", "e3"]),
 )
 _JSON_VALUES = st.recursive(
@@ -734,12 +742,12 @@ def test_verify_survives_any_json_value_in_any_field(fuzz_file, field, value):
         data["steps"][0][field[5:]] = value
     else:
         data[field] = value
-    fuzz_file.write_text(_dumps(data))
+    fuzz_file.write_text(dumps(data))
     assert main(["verify", "--cert", str(fuzz_file)]) in (0, 1, 2)
 
 
 def test_number_texts_are_written_bare():
-    assert _dumps({"a": [1, _NumberText("-" + "1" * 4301 + ".5")]}) == '{"a": [1, -%s.5]}' % ("1" * 4301)
+    assert dumps({"a": [1, NumberText("-" + "1" * 4301 + ".5")]}) == '{"a": [1, -%s.5]}' % ("1" * 4301)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ import majorize.decompose as decompose_module
 from majorize.core import _apply_step, plain_number
 from majorize.decompose import _array, _first_above, _numbers, _step_from_dict
 from exact_reference import exact_verdict
-from genpairs import decreasing_pair, sized
+from genpairs import NumberText, decreasing_pair, dumps, sized
 
 CHAIN_SOURCE = make_array([4, 4, 4, 4])
 CHAIN_TARGET = make_array([14, 1, 1, 1])
@@ -999,7 +999,7 @@ def test_from_json_rejects_non_objects():
 def _reference_from_json(text: str) -> Certificate:
     """``Certificate.from_json`` with every intermediate decoded whole, row by row."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=float, parse_float=float, parse_constant=float)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise MalformedCertificate(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -1027,11 +1027,14 @@ def _decoded(decode, text: str):
     return cert, [repr(v) for z in (cert.source, cert.target, *cert.intermediates) for v in z]
 
 
+# numbers no step index can be: the int text -0 (-0.0), ints past the float range (401
+# digits) and past CPython's int digit limit (5,000 digits), NaN, Infinity and -Infinity
+_ODD_NUMBERS = [NumberText("-0"), 10 ** 400, NumberText("1" * 5000),
+                float("nan"), float("inf"), float("-inf")]
 # entries a certificate must not hold, or must decode as written; where the row before
 # holds an equal number (``True == 1``, ``-0.0 == 0``), a diff by equality would miss them
 _ODD_ENTRIES = st.sampled_from([
-    True, False, "1", None, -1, -0.5, float("nan"), float("inf"), float("-inf"), [1], [],
-    10 ** 400, -0.0, 0, 1, 1.0, 2.5, 1e308,
+    True, False, "1", None, -1, -0.5, *_ODD_NUMBERS, [1], [], -0.0, 0, 1, 1.0, 2.5, 1e308,
 ])
 _ODD_ROWS = st.sampled_from([[], None, 3, "row", {}, [[1]]])
 
@@ -1056,9 +1059,8 @@ def odd_certificate_texts(draw):
 
     Entries go in at random places, at the positions their step writes, and
     away from them as entries equal to the row before's.  A step's indices
-    move past the end or to positions its row did not change.  Integer
-    pairs are scaled by 300 at times, as ints above 256 decode to distinct
-    objects.
+    move past the end or to positions its row did not change, or become odd
+    numbers.  Integer pairs are scaled by 300 at times.
     """
     n = draw(st.integers(1, 6))
     mode = draw(st.sampled_from(CertificateMode))
@@ -1076,8 +1078,8 @@ def odd_certificate_texts(draw):
         data = json.loads(decompose_general(x, y).to_json())
     rows, steps = data["intermediates"], data["steps"]
     for _ in range(draw(st.integers(0, 3))):
-        where = draw(st.sampled_from(["entry", "written", "equal", "equal", "index", "short", "row",
-                                      "source"]))
+        where = draw(st.sampled_from(["entry", "written", "equal", "equal", "index", "odd index",
+                                      "short", "row", "source"]))
         if where == "source":
             data["source"][draw(st.integers(0, n - 1))] = draw(_ODD_ENTRIES)
             continue
@@ -1092,19 +1094,24 @@ def odd_certificate_texts(draw):
                     steps[t] = dict(step, i=draw(st.sampled_from([i, n + 1])))
                 else:
                     steps[t] = dict(step, i=i, j=draw(st.integers(i + 1, n + 2)))
+        elif where == "odd index":
+            if step["type"] != "sort_desc":
+                field = draw(st.sampled_from([f for f in ("i", "j") if f in step]))
+                steps[t] = dict(step, **{field: draw(st.sampled_from(_ODD_NUMBERS))})
         elif where == "row" or not (isinstance(row, list) and row):
             rows[t] = draw(_ODD_ROWS)
         elif where == "short":
             del row[draw(st.integers(0, len(row) - 1))]
         else:
-            written = [step[f] - 1 for f in ("i", "j") if f in step and step[f] <= len(row)]
+            written = [step[f] - 1 for f in ("i", "j")
+                       if type(step.get(f)) is int and step[f] <= len(row)]
             p = draw(st.sampled_from(written) if where == "written" and written
                      else st.integers(0, len(row) - 1))
             if where == "equal" and isinstance(before, list) and p < len(before):
                 row[p] = draw(_equal_entries(before[p]))
             else:
                 row[p] = draw(_ODD_ENTRIES)
-    return json.dumps(data)
+    return dumps(data)
 
 
 @settings(max_examples=1000, deadline=None)
@@ -1134,15 +1141,18 @@ def test_from_json_reads_bytes_as_text():
     (decompose_general, lambda: random_dominated_pair(160, 160, 320, integer_mode=False)),
     (decompose_transfers, lambda: random_dominated_pair(160, 160, 320, transfers_only=True)),
 ], ids=["general", "general-float", "transfers"])
-def test_rows_that_follow_their_steps_are_decoded_without_a_diff(monkeypatch, produce, pair):
+def test_honest_rows_are_decoded_without_make_array(monkeypatch, produce, pair):
     cert = produce(*pair())
     text = cert.to_json()
+    built = []
 
-    def diffed(*args):
-        raise AssertionError("a row that follows its step was diffed by identity")
+    def counted(values):
+        built.append(values)
+        return make_array(values)
 
-    monkeypatch.setattr(decompose_module, "is_not", diffed)
+    monkeypatch.setattr(decompose_module, "make_array", counted)
     assert Certificate.from_json(text) == cert
+    assert len(built) == 2  # the source and the target; no row is decoded whole
 
 
 # ---------------------------------------------------------------------------
