@@ -33,7 +33,6 @@ from .core import (
     DominanceOutcome,
     MajorizeError,
     _dominance_rows,
-    _float_array,
     as_eps,
     dominates_or_equal,
     generalized_compare,
@@ -111,7 +110,7 @@ def parse_timeline_csv(text: str) -> dict[str, Array]:
         if len(row) - 1 != width:
             raise MajorizeError(f"row {num}: {len(row) - 1} values, expected {width}")
         try:
-            table[eid] = _float_array(tuple(map(float, row[1:])))
+            table[eid] = make_array(row[1:])
         except ValueError as exc:  # float()'s error, or Array's: MajorizeError is a ValueError
             raise MajorizeError(f"row {num}: {exc}") from exc
     return table
@@ -131,7 +130,7 @@ def _is_number(cell: str) -> bool:
 
 def parse_array_literal(token: str) -> Array:
     try:
-        return make_array([float(part) for part in token.split(",")])  # a list: see Array
+        return make_array(token.split(","))  # a list: see Array
     except MajorizeError:
         raise
     except ValueError as exc:

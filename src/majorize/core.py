@@ -155,7 +155,7 @@ class Array(_Record):
         self.__post_init__()
 
     def __post_init__(self):
-        """Validate and normalize ``values`` (producer states from ``_float_array`` skip it)."""
+        """Validate and normalize ``values`` (derived states from ``_float_array`` skip it)."""
         # From a list, tuple() allocates the exact size; from a bare iterator
         # it allocates 10 slots and resizes.  CPython keeps freed resized
         # tuples on its per-size free lists (up to 2000 each) until a full
@@ -233,21 +233,21 @@ def _sign_bits(n: int) -> int:
     return int.from_bytes(array("d", [-0.0]).tobytes() * n, sys.byteorder)
 
 
-def make_array(values: Iterable[float]) -> Array:
-    """Validating constructor: every component must be >= 0, length >= 1."""
+def make_array(values: Iterable[Union[float, str]]) -> Array:
+    """Validating constructor: ``float()`` of each value, or of its text, must be >= 0; length >= 1."""
     return Array(tuple(values))
 
 
-def _float_array(vals: tuple[float, ...], new: Optional[Sequence[float]] = None) -> Array:
-    """``Array(vals)`` for a tuple that holds only floats, without its ``float()`` copy.
+def _float_array(vals: tuple[float, ...]) -> Array:
+    """Trusted constructor: ``Array(vals)`` for floats known not to be negative, without its checks.
 
-    The producer records each state this way.  ``new`` names the values that
-    changed from a state already checked: only their signs are checked then,
-    while the total is always; ``new=()`` means the signs are already known.
-    Values that fail this fast check go through ``Array(vals)``, so they
-    raise exactly its errors, from the first bad component.
+    Every state that a step or a sort derives from a valid array holds such
+    floats (a step adds only positive amounts and clamps a transfer's source
+    at zero), and so does a decoded row whose number texts have no minus
+    sign.  Only the total is checked, which also fails ``NaN`` and ``inf``;
+    where it fails, ``vals`` goes through ``Array(vals)`` and its errors.
     """
-    if vals and min(vals if new is None else new, default=0.0) >= 0.0 and sum(vals) < _SAFE_TOTAL:
+    if vals and sum(vals) < _SAFE_TOTAL:
         arr = object.__new__(Array)
         object.__setattr__(arr, "values", vals)
         return arr
@@ -528,7 +528,7 @@ def apply_eii(x: Array, step: Step, tol: Optional[float] = None) -> Array:
         raise SortStepNotEii("SortDesc is not an elementary impact step; apply sort_desc")
     vals = list(x.values)
     _apply_step(vals, step, as_eps(tol))
-    return Array(tuple(vals))
+    return _float_array(tuple(vals))
 
 
 def _apply_step(vals: list[float], step: Step, eps: float) -> None:
@@ -563,9 +563,9 @@ def _apply_step(vals: list[float], step: Step, eps: float) -> None:
 
 def sort_desc(x: Array) -> Array:
     """The non-increasing rearrangement; ties keep their original relative order."""
-    return Array(tuple(sorted(x.values, reverse=True)))
+    return _float_array(tuple(sorted(x.values, reverse=True)))
 
 
 def sort_asc(x: Array) -> Array:
     """The non-decreasing rearrangement."""
-    return Array(tuple(sorted(x.values)))
+    return _float_array(tuple(sorted(x.values)))

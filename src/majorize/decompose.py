@@ -186,12 +186,11 @@ class Certificate(_Record):
             steps = tuple([_step_from_dict(s) for s in _array(data["steps"], "steps")])
             # with no minus sign and no boolean, a row of floats is non-negative as it stands
             plain = not (memo.signed() or _may_hold_booleans(text))
-            intermediates = tuple(_intermediates(_array(data["intermediates"], "intermediates"),
-                                                 len(source), plain))
+            intermediates = tuple(_intermediates(_array(data["intermediates"], "intermediates"), plain))
             return cls(source, target, steps, intermediates, mode)
         except MalformedCertificate:
             raise
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise MalformedCertificate(f"bad certificate data: {exc}") from exc
 
 
@@ -254,21 +253,22 @@ def _written(step: Optional[Step], n: int) -> Optional[tuple[int, ...]]:
     return None
 
 
-def _intermediates(rows: list, n: int, plain: bool) -> list[Array]:
+def _intermediates(rows: list, plain: bool) -> list[Array]:
     """Each row as ``make_array(_numbers(row, "intermediate"))``.
 
     Where ``plain`` says that no number text had a minus sign and no boolean
-    occurs, a list of ``n`` entries already is its state: its floats are
-    non-negative, so only its total is checked, and that check also fails
-    ``NaN`` and ``inf``.  A string, ``null``, list or object entry makes that
-    sum raise ``TypeError``; such a row, and any other, is decoded whole, so
-    the errors and their order are those of decoding each row on its own.
+    occurs, a list already is its state: its floats are non-negative, so
+    ``_float_array`` checks only its total, which also fails ``NaN`` and
+    ``inf``.  A string, ``null``, list or object entry makes that sum raise
+    ``TypeError``; such a row, and any other, is decoded whole, so the errors
+    and their order are those of decoding each row on its own.  Lengths are
+    left to ``Certificate``, which checks every row's once.
     """
     arrays: list[Array] = []
     for row in rows:
-        if plain and type(row) is list and len(row) == n:
+        if plain and type(row) is list:
             try:
-                arrays.append(_float_array(tuple(row), ()))
+                arrays.append(_float_array(tuple(row)))
                 continue
             except TypeError:
                 pass
@@ -617,7 +617,7 @@ def _decompose(x: Array, y: Array, tol: Optional[float], mode: CertificateMode) 
             return Certificate(x, y, tuple(steps), tuple(inters), mode)
         _apply_step(cur, step, eps)
         steps.append(step)
-        inters.append(_float_array(tuple(cur), (cur[i], cur[j]) if j < n else (cur[i],)))
+        inters.append(_float_array(tuple(cur)))
         if cur[i] - yv[i] > surplus_eps:
             j = i  # rounding lifted the filled position over its target
         if mode is CertificateMode.DECREASING and not inters[-1].is_non_increasing():
@@ -634,7 +634,7 @@ def _decompose(x: Array, y: Array, tol: Optional[float], mode: CertificateMode) 
             if _first_above(ranked_sums, map(add, accumulate(cur), repeat(eps))):  # else not strict
                 cur = ranked
                 steps.append(SortDesc())
-                inters.append(_float_array(tuple(cur), ()))
+                inters.append(_float_array(tuple(cur)))
                 i = j = 0
         if len(steps) > cap:  # only reachable for adversarial sub-eps inputs
             raise MajorizeError("decomposition did not converge; inputs are at tolerance scale")

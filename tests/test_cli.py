@@ -1018,6 +1018,47 @@ def test_batch_rejects_bad_csv(tmp_path, capsys, content, fragment):
     assert fragment in err
 
 
+# cells from outside: the error after "row 2: " as a CSV cell, and the exit code and
+# error of ``check`` with the cell as a literal part; "" where it is valid
+_OUTSIDE_CELLS = [
+    ("zebra", "could not convert string to float: 'zebra'",
+     2, "cannot parse array literal '1,zebra': could not convert string to float: 'zebra'"),
+    ("-2", "component 2 must be a finite non-negative number, got -2.0",
+     2, "component 2 must be a finite non-negative number, got -2.0"),
+    ("nan", "component 2 must be a finite non-negative number, got nan",
+     2, "component 2 must be a finite non-negative number, got nan"),
+    ("inf", "component 2 must be a finite non-negative number, got inf",
+     2, "component 2 must be a finite non-negative number, got inf"),
+    ("1e400", "component 2 must be a finite non-negative number, got inf",
+     2, "component 2 must be a finite non-negative number, got inf"),
+    ("", "could not convert string to float: ''",
+     2, "cannot parse array literal '1,': could not convert string to float: ''"),
+    (" ", "could not convert string to float: ' '",
+     2, "cannot parse array literal '1, ': could not convert string to float: ' '"),
+    ("-0", "", 0, ""),
+    ("0x10", "could not convert string to float: '0x10'",
+     2, "cannot parse array literal '1,0x10': could not convert string to float: '0x10'"),
+    ("1_0", "", 1, ""),
+]
+
+
+@pytest.mark.parametrize("cell,row_error,check_code,check_error", _OUTSIDE_CELLS,
+                         ids=[repr(cell) for cell, *_ in _OUTSIDE_CELLS])
+def test_outside_cells_exit_with_their_whole_error_line(tmp_path, capsys, cell, row_error,
+                                                        check_code, check_error):
+    table = tmp_path / "t.csv"
+    table.write_text(f"a,1,2\nb,1,{cell}\n")
+    code, out, err = run(capsys, "batch", "--input", str(table))
+    if row_error:
+        assert (code, out, err) == (2, "", f"error: {table}: row 2: {row_error}\n")
+    else:
+        assert (code, err) == (0, "")
+    code, out, err = run(capsys, "check", f"1,{cell}", "1,2")
+    assert code == check_code
+    assert err == (f"error: {check_error}\n" if check_error else "")
+    assert (out == "") == bool(check_error)
+
+
 def _reference_batch(table, mode, eps):
     """Stdout and ``--out`` text of ``batch``, encoded cell by cell as each once was."""
     ids = list(table)

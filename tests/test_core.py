@@ -110,7 +110,11 @@ def test_tolerance_semantics():
             generalized_compare(make_array([1]), make_array([1]), bad)
 
 
-_EDGE_FLOATS = (0.0, -0.0, 5e-324, 1.0, 1e308, sys.float_info.max, -1.0, math.nan, math.inf)
+# none is negative: no state that a step or a sort derives from a valid array holds one
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, 1.0, 1e308, sys.float_info.max, math.nan, math.inf)
+# valid arrays of the finite ones: two values of 1e308 or more overflow, and are left out
+_SOURCES = st.lists(st.sampled_from(_EDGE_FLOATS[:6]), min_size=1, max_size=4).filter(
+    lambda vals: sum(vals) < math.inf).map(make_array)
 
 
 def _built_or_raised(build, values):
@@ -121,24 +125,51 @@ def _built_or_raised(build, values):
     return arr, repr(arr.values)  # the repr tells -0.0 from 0.0
 
 
+@st.composite
+def derived_states(draw):
+    """``(derive, x, expected)``: ``derive(x)`` is ``apply_eii``, ``sort_desc`` or ``sort_asc`` of a
+    valid array, and ``expected`` is ``_built_or_raised`` of ``make_array`` of the values it derives.
+
+    Transfers take up to twice eps more than their source holds, so some are
+    clamped and some refused, and increases of 1e308 or more can overflow.
+    """
+    x = draw(_SOURCES)
+    kind = draw(st.sampled_from(["sort_desc", "sort_asc", "transfer", "increase"]))
+    if kind.startswith("sort"):
+        derive = sort_desc if kind == "sort_desc" else sort_asc
+        return derive, x, _built_or_raised(make_array, sorted(x.values, reverse=derive is sort_desc))
+    n, eps = len(x), draw(st.sampled_from([0.0, 1e-9, 0.5]))
+    i = draw(st.integers(1, n))
+    if kind == "transfer" and i < n:
+        j = draw(st.integers(i + 1, n))
+        src = x.values[j - 1]
+        a = draw(st.sampled_from([a for a in (*_EDGE_FLOATS[2:6], src, src + eps / 2, src + eps,
+                                              src + 2 * eps) if a > 0.0]))
+        step = Transfer(i, j, a)
+    else:
+        step = Increase(i, draw(st.sampled_from(_EDGE_FLOATS[2:6])))
+    vals = list(x.values)
+    try:
+        _apply_step(vals, step, eps)
+    except MajorizeError as exc:
+        expected = type(exc), str(exc)
+    else:
+        expected = _built_or_raised(make_array, vals)
+    return (lambda z: apply_eii(z, step, eps)), x, expected
+
+
 @settings(max_examples=500)
-@given(st.lists(st.sampled_from(_EDGE_FLOATS), min_size=1, max_size=6).map(tuple))
-def test_float_array_is_array_for_float_tuples(values):
-    # the producer's constructor returns what Array returns, or raises what Array raises
+@given(st.lists(st.sampled_from(_EDGE_FLOATS), min_size=1, max_size=6).map(tuple), derived_states())
+def test_float_array_is_array_for_float_tuples(values, derived):
+    # the trusted constructor returns what Array returns, or raises what Array raises, and so
+    # does each derived state it builds: the states of apply_eii, sort_desc and sort_asc
     assert _built_or_raised(_float_array, values) == _built_or_raised(Array, values)
+    derive, x, expected = derived
+    assert _built_or_raised(derive, x) == expected
 
 
 def test_float_array_of_an_empty_tuple_raises_as_array_does():
     assert _built_or_raised(_float_array, ()) == _built_or_raised(Array, ())
-
-
-@settings(max_examples=500)
-@given(st.lists(st.tuples(st.sampled_from(_EDGE_FLOATS), st.booleans()), min_size=1, max_size=6))
-def test_float_array_checks_the_sign_of_the_new_values_only(entries):
-    # the values not named new were checked before: here, any that Array accepts alone
-    vals = tuple(v if is_new or 0.0 <= v < math.inf else 1.0 for v, is_new in entries)
-    new = [v for v, (_, is_new) in zip(vals, entries) if is_new]
-    assert _built_or_raised(lambda z: _float_array(z, new), vals) == _built_or_raised(Array, vals)
 
 
 # ---------------------------------------------------------------------------

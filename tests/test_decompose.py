@@ -1079,7 +1079,7 @@ def odd_certificate_texts(draw):
     rows, steps = data["intermediates"], data["steps"]
     for _ in range(draw(st.integers(0, 3))):
         where = draw(st.sampled_from(["entry", "written", "equal", "equal", "index", "odd index",
-                                      "short", "row", "source"]))
+                                      "short", "long", "row", "source"]))
         if where == "source":
             data["source"][draw(st.integers(0, n - 1))] = draw(_ODD_ENTRIES)
             continue
@@ -1102,6 +1102,8 @@ def odd_certificate_texts(draw):
             rows[t] = draw(_ODD_ROWS)
         elif where == "short":
             del row[draw(st.integers(0, len(row) - 1))]
+        elif where == "long":
+            row.append(draw(_ODD_ENTRIES))
         else:
             written = [step[f] - 1 for f in ("i", "j")
                        if type(step.get(f)) is int and step[f] <= len(row)]
