@@ -567,5 +567,6 @@ def sort_desc(x: Array) -> Array:
 
 
 def sort_asc(x: Array) -> Array:
-    """The non-decreasing rearrangement."""
+    """The non-decreasing rearrangement.  Overflow is judged on its running sum, so the valid
+    ``[sys.float_info.max, 2.0**969, 2.0**969]`` raises ``MajorizeError`` here."""
     return _float_array(tuple(sorted(x.values)))

@@ -178,15 +178,16 @@ class Certificate(_Record):
             raise MalformedCertificate(f"not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise MalformedCertificate("certificate JSON must be an object")
+        # with no minus sign and no boolean, a list of floats is non-negative as it stands
+        plain = not (memo.signed() or _may_hold_booleans(text))
         try:
             mode = CertificateMode(data["mode"])
-            source = make_array(_numbers(data["source"], "source"))
-            target = make_array(_numbers(data["target"], "target"))
+            source = _state(data["source"], "source", plain)
+            target = _state(data["target"], "target", plain)
             # built from lists, as in Array, so that no tuple is resized
             steps = tuple([_step_from_dict(s) for s in _array(data["steps"], "steps")])
-            # with no minus sign and no boolean, a row of floats is non-negative as it stands
-            plain = not (memo.signed() or _may_hold_booleans(text))
-            intermediates = tuple(_intermediates(_array(data["intermediates"], "intermediates"), plain))
+            intermediates = tuple([_state(z, "intermediate", plain)
+                                   for z in _array(data["intermediates"], "intermediates")])
             return cls(source, target, steps, intermediates, mode)
         except MalformedCertificate:
             raise
@@ -253,27 +254,22 @@ def _written(step: Optional[Step], n: int) -> Optional[tuple[int, ...]]:
     return None
 
 
-def _intermediates(rows: list, plain: bool) -> list[Array]:
-    """Each row as ``make_array(_numbers(row, "intermediate"))``.
+def _state(value, what: str, plain: bool) -> Array:
+    """``make_array(_numbers(value, what))`` for the source, the target and each recorded row.
 
     Where ``plain`` says that no number text had a minus sign and no boolean
-    occurs, a list already is its state: its floats are non-negative, so
-    ``_float_array`` checks only its total, which also fails ``NaN`` and
-    ``inf``.  A string, ``null``, list or object entry makes that sum raise
-    ``TypeError``; such a row, and any other, is decoded whole, so the errors
-    and their order are those of decoding each row on its own.  Lengths are
-    left to ``Certificate``, which checks every row's once.
+    occurs, a list is its state as it stands: its floats are non-negative, so
+    ``_float_array`` checks only its total, which also fails ``NaN`` and ``inf``.
+    A string, ``null``, list or object entry makes that sum raise ``TypeError``;
+    such an array, and any other, is decoded whole, so the errors and their
+    order are those of decoding it on its own.  ``Certificate`` checks lengths.
     """
-    arrays: list[Array] = []
-    for row in rows:
-        if plain and type(row) is list:
-            try:
-                arrays.append(_float_array(tuple(row)))
-                continue
-            except TypeError:
-                pass
-        arrays.append(make_array(_numbers(row, "intermediate")))
-    return arrays
+    if plain and type(value) is list:
+        try:
+            return _float_array(tuple(value))
+        except TypeError:
+            pass
+    return make_array(_numbers(value, what))
 
 
 def state_texts(states: Iterable[Array], steps: Iterable[Step] = ()) -> Iterator[list[str]]:

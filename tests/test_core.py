@@ -640,6 +640,14 @@ def test_sort_asc_goldens(values, expected):
     assert sort_asc(make_array(values)).values == tuple(float(v) for v in expected)
 
 
+def test_sort_asc_refuses_a_valid_array_whose_ascending_sum_overflows():
+    # overflow is judged on the running sum in the order given, as for make_array above
+    x = make_array([sys.float_info.max, 2.0 ** 969, 2.0 ** 969])
+    assert sort_desc(x) == x
+    with pytest.raises(MajorizeError, match="largest float"):
+        sort_asc(x)
+
+
 @given(int_arrays)
 def test_sorts_bracket_every_array(x):
     # ascending rearrangement sits below the array, descending above

@@ -997,7 +997,7 @@ def test_from_json_rejects_non_objects():
 
 
 def _reference_from_json(text: str) -> Certificate:
-    """``Certificate.from_json`` with every intermediate decoded whole, row by row."""
+    """``Certificate.from_json`` with every array decoded whole, one by one."""
     try:
         data = json.loads(text, parse_int=float, parse_float=float, parse_constant=float)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -1058,9 +1058,11 @@ def odd_certificate_texts(draw):
     """An honest certificate's JSON with odd entries, rows and step indices put in.
 
     Entries go in at random places, at the positions their step writes, and
-    away from them as entries equal to the row before's.  A step's indices
-    move past the end or to positions its row did not change, or become odd
-    numbers.  Integer pairs are scaled by 300 at times.
+    away from them as entries equal to the row before's.  The source and the
+    target get odd entries too, or are replaced whole by an odd row, or lose
+    or gain an entry.  A step's indices move past the end or to positions its
+    row did not change, or become odd numbers.  Integer pairs are scaled by
+    300 at times.
     """
     n = draw(st.integers(1, 6))
     mode = draw(st.sampled_from(CertificateMode))
@@ -1079,9 +1081,20 @@ def odd_certificate_texts(draw):
     rows, steps = data["intermediates"], data["steps"]
     for _ in range(draw(st.integers(0, 3))):
         where = draw(st.sampled_from(["entry", "written", "equal", "equal", "index", "odd index",
-                                      "short", "long", "row", "source"]))
-        if where == "source":
-            data["source"][draw(st.integers(0, n - 1))] = draw(_ODD_ENTRIES)
+                                      "short", "long", "row", "source", "target",
+                                      "whole source", "whole target"]))
+        if where in ("source", "target"):
+            if isinstance(data[where], list) and data[where]:
+                data[where][draw(st.integers(0, len(data[where]) - 1))] = draw(_ODD_ENTRIES)
+            continue
+        if where in ("whole source", "whole target"):
+            key, kind = where.split()[1], draw(st.sampled_from(["row", "short", "long"]))
+            if kind == "row" or not (isinstance(data[key], list) and data[key]):
+                data[key] = draw(_ODD_ROWS)
+            elif kind == "short":
+                del data[key][draw(st.integers(0, len(data[key]) - 1))]
+            else:
+                data[key].append(draw(_ODD_ENTRIES))
             continue
         if not rows:
             continue
@@ -1154,7 +1167,7 @@ def test_honest_rows_are_decoded_without_make_array(monkeypatch, produce, pair):
 
     monkeypatch.setattr(decompose_module, "make_array", counted)
     assert Certificate.from_json(text) == cert
-    assert len(built) == 2  # the source and the target; no row is decoded whole
+    assert built == []  # no array, source and target included, is decoded whole
 
 
 # ---------------------------------------------------------------------------
